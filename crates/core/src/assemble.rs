@@ -14,7 +14,7 @@ use std::collections::{HashMap, HashSet};
 
 use crysl::ast::{Literal, MethodEvent, ParamPattern, Rule};
 use javamodel::ast::{ClassDecl, Expr, JavaType, MethodDecl, Param, Stmt};
-use javamodel::TypeTable;
+use javamodel::{ClassLookup, TypeTable};
 
 use crate::collect::CollectedRule;
 use crate::error::GenError;
@@ -47,18 +47,24 @@ pub fn assemble(
     return_object: Option<&str>,
     table: &TypeTable,
 ) -> Result<AssembledMethod, GenError> {
+    // Every path label emits at most one statement (generated or
+    // deferred), plus the return assignment: sizing the body and the
+    // name tables for that bound up front means none of them regrows.
+    let emitted = paths.iter().map(|p| p.labels.len()).sum::<usize>() + 1;
+    let mut body =
+        Vec::with_capacity(method.pre_statements.len() + emitted + method.post_statements.len());
+    body.extend_from_slice(&method.pre_statements);
+    let mut taken = HashSet::with_capacity(method.params.len() + body.len() + emitted);
+    taken.extend(method.params.iter().map(|p| p.name.clone()));
+    taken.extend(declared_locals(&method.pre_statements));
+    let bindings: usize = rules.iter().map(|cr| cr.bindings.len()).sum();
     let mut asm = Assembler {
         rules,
         links,
         table,
-        taken: method
-            .params
-            .iter()
-            .map(|p| p.name.clone())
-            .chain(declared_locals(&method.pre_statements))
-            .collect(),
-        values: HashMap::new(),
-        stmts: Vec::new(),
+        taken,
+        values: HashMap::with_capacity(bindings + rules.len() + emitted),
+        stmts: body,
         deferred: Vec::new(),
         hoisted: Vec::new(),
     };
@@ -66,10 +72,8 @@ pub fn assemble(
     // Template bindings register their variables as available values.
     for (idx, cr) in rules.iter().enumerate() {
         for b in &cr.bindings {
-            asm.values.insert(
-                (idx, Carrier::Var(b.rule_var.clone())),
-                b.template_var.clone(),
-            );
+            asm.values
+                .insert((idx, Slot::Var(&b.rule_var)), b.template_var.clone());
         }
     }
 
@@ -86,10 +90,9 @@ pub fn assemble(
         }
     }
 
-    let mut body = method.pre_statements.clone();
-    body.extend(asm.stmts);
-    body.extend(asm.deferred);
-    body.extend(method.post_statements.clone());
+    let mut body = asm.stmts;
+    body.append(&mut asm.deferred);
+    body.extend_from_slice(&method.post_statements);
 
     let mut m = MethodDecl::new(method.name.clone(), method.return_type.clone());
     m.params = method.params.clone();
@@ -101,14 +104,28 @@ pub fn assemble(
     })
 }
 
-fn declared_locals(stmts: &[Stmt]) -> Vec<String> {
-    stmts
-        .iter()
-        .filter_map(|s| match s {
-            Stmt::Decl { name, .. } => Some(name.clone()),
-            _ => None,
-        })
-        .collect()
+fn declared_locals(stmts: &[Stmt]) -> impl Iterator<Item = String> + '_ {
+    stmts.iter().filter_map(|s| match s {
+        Stmt::Decl { name, .. } => Some(name.clone()),
+        _ => None,
+    })
+}
+
+/// A borrowed [`Carrier`]: the assembler keys its values by these, so a
+/// lookup never builds an owned carrier just to query the map.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Slot<'a> {
+    This,
+    Var(&'a str),
+}
+
+impl<'a> From<&'a Carrier> for Slot<'a> {
+    fn from(c: &'a Carrier) -> Self {
+        match c {
+            Carrier::This => Slot::This,
+            Carrier::Var(v) => Slot::Var(v),
+        }
+    }
 }
 
 struct Assembler<'a> {
@@ -117,13 +134,15 @@ struct Assembler<'a> {
     table: &'a TypeTable,
     taken: HashSet<String>,
     /// (rule index, carrier) → Java local/parameter name holding the value.
-    values: HashMap<(usize, Carrier), String>,
+    values: HashMap<(usize, Slot<'a>), String>,
+    /// The method body so far: the template's leading glue, then the
+    /// generated statements.
     stmts: Vec<Stmt>,
     deferred: Vec<Stmt>,
     hoisted: Vec<Param>,
 }
 
-impl Assembler<'_> {
+impl<'a> Assembler<'a> {
     fn fresh_name(&mut self, base: &str) -> String {
         let mut name = base.to_owned();
         let mut n = 1;
@@ -135,16 +154,15 @@ impl Assembler<'_> {
         name
     }
 
-    fn emit_rule(&mut self, idx: usize, path: &SelectedPath) -> Result<(), GenError> {
-        let cr = &self.rules[idx];
-        let rule = cr.rule;
+    fn emit_rule(&mut self, idx: usize, path: &'a SelectedPath) -> Result<(), GenError> {
+        let rule = self.rules[idx].rule;
         let class_name = rule.class_name.as_str();
         let simple = rule.class_name.simple_name();
 
         // Hoisted parameters become wrapper parameters up front so their
         // names are available to argument emission.
         for (_, var) in &path.hoisted {
-            if self.values.contains_key(&(idx, Carrier::Var(var.clone()))) {
+            if self.values.contains_key(&(idx, Slot::Var(var))) {
                 continue;
             }
             let ty = rule
@@ -156,7 +174,7 @@ impl Assembler<'_> {
                 ty,
                 name: name.clone(),
             });
-            self.values.insert((idx, Carrier::Var(var.clone())), name);
+            self.values.insert((idx, Slot::Var(var)), name);
         }
 
         // The instance: linked instances exist already, constructed ones
@@ -167,7 +185,7 @@ impl Assembler<'_> {
                 from_carrier,
             } => self
                 .values
-                .get(&(*from_rule, from_carrier.clone()))
+                .get(&(*from_rule, Slot::from(from_carrier)))
                 .cloned()
                 .ok_or(GenError::UnresolvedInstance {
                     rule: class_name.to_owned(),
@@ -176,18 +194,16 @@ impl Assembler<'_> {
                 self.fresh_name(&lower_camel(simple))
             }
         };
-        self.values
-            .insert((idx, Carrier::This), instance_name.clone());
+        self.values.insert((idx, Slot::This), instance_name.clone());
 
         let invalidating = invalidating_events(rule, &path.labels);
-        let mut own_returns: Vec<String> = Vec::new();
+        let mut own_returns: Vec<&str> = Vec::new();
 
         for label in &path.labels {
             let Some(event) = rule.method_event(label) else {
                 continue;
             };
-            let own_ref: Vec<&str> = own_returns.iter().map(String::as_str).collect();
-            let args = self.arg_exprs(idx, event, &own_ref)?;
+            let args = self.arg_exprs(idx, event, &own_returns)?;
             let stmt = self.emit_event(idx, event, args, &instance_name, simple, class_name)?;
             if invalidating.contains(label.as_str()) {
                 self.deferred.push(stmt);
@@ -195,7 +211,7 @@ impl Assembler<'_> {
                 self.stmts.push(stmt);
             }
             if let Some(rv) = &event.return_var {
-                own_returns.push(rv.clone());
+                own_returns.push(rv);
             }
         }
         Ok(())
@@ -212,7 +228,7 @@ impl Assembler<'_> {
             let expr = match p {
                 ParamPattern::This => Expr::var(
                     self.values
-                        .get(&(idx, Carrier::This))
+                        .get(&(idx, Slot::This))
                         .cloned()
                         .unwrap_or_else(|| "this".to_owned()),
                 ),
@@ -235,7 +251,7 @@ impl Assembler<'_> {
     fn var_expr(&mut self, idx: usize, var: &str, own_returns: &[&str]) -> Result<Expr, GenError> {
         // Anything already materialized under this rule wins (covers
         // template bindings, hoisted parameters, and own returns).
-        if let Some(name) = self.values.get(&(idx, Carrier::Var(var.to_owned()))) {
+        if let Some(name) = self.values.get(&(idx, Slot::Var(var))) {
             return Ok(Expr::var(name.clone()));
         }
         match resolve_var(idx, var, own_returns, self.rules, self.links, self.table) {
@@ -245,7 +261,7 @@ impl Assembler<'_> {
                 from_carrier,
             } => self
                 .values
-                .get(&(from_rule, from_carrier))
+                .get(&(from_rule, Slot::from(&from_carrier)))
                 .map(|n| Expr::var(n.clone()))
                 .ok_or_else(|| GenError::UnresolvedParameter {
                     rule: self.rules[idx].rule.class_name.to_string(),
@@ -257,7 +273,7 @@ impl Assembler<'_> {
             }),
             Resolution::This => Ok(Expr::var(
                 self.values
-                    .get(&(idx, Carrier::This))
+                    .get(&(idx, Slot::This))
                     .cloned()
                     .unwrap_or_else(|| "this".to_owned()),
             )),
@@ -272,7 +288,7 @@ impl Assembler<'_> {
     fn emit_event(
         &mut self,
         idx: usize,
-        event: &MethodEvent,
+        event: &'a MethodEvent,
         args: Vec<Expr>,
         instance_name: &str,
         simple: &str,
@@ -303,30 +319,29 @@ impl Assembler<'_> {
                 .methods
                 .iter()
                 .find(|m| m.name == event.method_name && m.is_static)
-                .map(|m| m.ret.clone())
-                .unwrap_or(JavaType::Void);
-            if ret == JavaType::class(class_name) {
+                .map_or(&JavaType::Void, |m| &m.ret);
+            if matches!(ret, JavaType::Class(n) if n == class_name) {
                 return Ok(Stmt::decl_init(
                     JavaType::class(class_name),
                     instance_name,
                     expr,
                 ));
             }
-            return Ok(self.bind_return(idx, event, expr, Some(&ret)));
+            return Ok(self.bind_return(idx, event, expr, Some(ret)));
         }
         let ret = class_def
             .methods
             .iter()
             .find(|m| m.name == event.method_name && !m.is_static)
-            .map(|m| m.ret.clone());
+            .map(|m| &m.ret);
         let expr = Expr::call(Expr::var(instance_name), event.method_name.clone(), args);
-        Ok(self.bind_return(idx, event, expr, ret.as_ref()))
+        Ok(self.bind_return(idx, event, expr, ret))
     }
 
     fn bind_return(
         &mut self,
         idx: usize,
-        event: &MethodEvent,
+        event: &'a MethodEvent,
         expr: Expr,
         method_ret: Option<&JavaType>,
     ) -> Stmt {
@@ -351,8 +366,7 @@ impl Assembler<'_> {
                     _ => expr,
                 };
                 let name = self.fresh_name(rv);
-                self.values
-                    .insert((idx, Carrier::Var(rv.clone())), name.clone());
+                self.values.insert((idx, Slot::Var(rv)), name.clone());
                 Stmt::decl_init(ty, name, expr)
             }
             None => Stmt::Expr(expr),
@@ -390,7 +404,7 @@ impl Assembler<'_> {
                     if !fits(&rv_ty) {
                         continue;
                     }
-                    if let Some(name) = self.values.get(&(idx, Carrier::Var(rv.clone()))) {
+                    if let Some(name) = self.values.get(&(idx, Slot::Var(rv))) {
                         return Ok(name.clone());
                     }
                 }
@@ -398,7 +412,7 @@ impl Assembler<'_> {
         }
         let instance_ty = JavaType::class(rule.class_name.as_str());
         if fits(&instance_ty) {
-            if let Some(name) = self.values.get(&(idx, Carrier::This)) {
+            if let Some(name) = self.values.get(&(idx, Slot::This)) {
                 return Ok(name.clone());
             }
         }

@@ -11,8 +11,8 @@
 
 use javamodel::ast::{ClassDecl, CompilationUnit, MethodDecl};
 use javamodel::printer::print_unit;
-use javamodel::typecheck::check_unit;
-use javamodel::typetable::ClassDef;
+use javamodel::typecheck::check_unit_in;
+use javamodel::typetable::{ClassDef, TableOverlay};
 use javamodel::TypeTable;
 
 use statemachine::OrderCache;
@@ -314,8 +314,7 @@ impl Generator {
                     // Plain helper method: glue code only.
                     let mut m = MethodDecl::new(tm.name.clone(), tm.return_type.clone());
                     m.params = tm.params.clone();
-                    m.body = tm.pre_statements.clone();
-                    m.body.extend(tm.post_statements.clone());
+                    m.body = [&tm.pre_statements[..], &tm.post_statements[..]].concat();
                     class.methods.push(m);
                 }
             }
@@ -333,9 +332,11 @@ impl Generator {
         if !self.options.skip_type_check {
             // The template class itself must be constructible inside the
             // unit (templateUsage instantiates it with the default ctor).
-            let mut check_table = table.clone();
-            check_table.add(ClassDef::new(template.class_name.clone()).ctor(vec![]));
-            check_unit(&unit, &check_table).map_err(|e| GenError::TypeCheck(e.to_string()))?;
+            // The overlay adds it to the borrowed table without copying
+            // the table.
+            let template_class = ClassDef::new(template.class_name.as_str()).ctor(vec![]);
+            check_unit_in(&unit, &TableOverlay::new(table, &template_class))
+                .map_err(|e| GenError::TypeCheck(e.to_string()))?;
         }
 
         let java_source = print_unit(&unit);

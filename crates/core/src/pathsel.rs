@@ -24,7 +24,7 @@ use crate::error::GenError;
 use crate::link::{Carrier, Link, LinkSetExt};
 use crate::resolve::{resolve_var, Resolution};
 use crate::telemetry::{self, CacheOutcome, Event, GenObserver};
-use javamodel::TypeTable;
+use javamodel::{ClassLookup, TypeTable};
 
 /// Where a rule's instance object comes from.
 #[derive(Debug, Clone, PartialEq, Eq)]

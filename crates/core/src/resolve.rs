@@ -16,7 +16,7 @@
 
 use crysl::ast::{Atom, CmpOp, Constraint, Literal, TypeRef};
 use javamodel::ast::JavaType;
-use javamodel::TypeTable;
+use javamodel::{ClassLookup, TypeTable};
 
 use crate::collect::CollectedRule;
 use crate::link::{Carrier, Link, LinkSetExt};

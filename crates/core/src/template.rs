@@ -225,6 +225,7 @@ impl Template {
 /// through the Java pretty-printer; the chain prints as the fluent-API
 /// call of the paper's Figure 4.
 pub fn render_java(template: &Template) -> String {
+    use javamodel::printer::{print_stmt_to, write_method_header};
     use std::fmt::Write as _;
     let mut out = String::new();
     let _ = writeln!(out, "package {};", template.package);
@@ -234,23 +235,10 @@ pub fn render_java(template: &Template) -> String {
         if i > 0 {
             let _ = writeln!(out);
         }
-        let params: Vec<String> = m
-            .params
-            .iter()
-            .map(|p| format!("{} {}", p.ty.simple_or_qualified(), p.name))
-            .collect();
-        let _ = writeln!(
-            out,
-            "    public {} {}({}) {{",
-            m.return_type.simple_or_qualified(),
-            m.name,
-            params.join(", ")
-        );
-        let mut body = String::new();
+        write_method_header(&mut out, false, &m.return_type, &m.name, &m.params);
         for s in &m.pre_statements {
-            javamodel::printer::print_stmt_to(&mut body, s, 2);
+            print_stmt_to(&mut out, s, 2);
         }
-        out.push_str(&body);
         if let Some(chain) = &m.chain {
             let _ = writeln!(out, "        CrySLCodeGenerator.getInstance().");
             for (i, e) in chain.entries.iter().enumerate() {
@@ -273,11 +261,9 @@ pub fn render_java(template: &Template) -> String {
                 }
             }
         }
-        let mut post = String::new();
         for s in &m.post_statements {
-            javamodel::printer::print_stmt_to(&mut post, s, 2);
+            print_stmt_to(&mut out, s, 2);
         }
-        out.push_str(&post);
         let _ = writeln!(out, "    }}");
     }
     let _ = writeln!(out, "}}");

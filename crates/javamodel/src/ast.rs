@@ -53,16 +53,9 @@ impl JavaType {
 
     /// The simple (unqualified) name used when printing.
     pub fn simple_name(&self) -> String {
-        match self {
-            JavaType::Void => "void".into(),
-            JavaType::Int => "int".into(),
-            JavaType::Long => "long".into(),
-            JavaType::Boolean => "boolean".into(),
-            JavaType::Char => "char".into(),
-            JavaType::Byte => "byte".into(),
-            JavaType::Array(inner) => format!("{}[]", inner.simple_name()),
-            JavaType::Class(n) => n.rsplit('.').next().unwrap_or(n).to_owned(),
-        }
+        let mut name = String::new();
+        crate::printer::write_type(&mut name, self);
+        name
     }
 
     /// The fully-qualified name of the class behind this type, if any

@@ -322,6 +322,7 @@ pub fn jca_type_table() -> TypeTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::typetable::ClassLookup;
 
     #[test]
     fn table_contains_all_use_case_classes() {

@@ -46,4 +46,4 @@ pub mod typetable;
 
 pub use ast::{ClassDecl, CompilationUnit, Expr, JavaType, MethodDecl, Stmt};
 pub use typecheck::TypeError;
-pub use typetable::TypeTable;
+pub use typetable::{ClassLookup, TypeTable};

@@ -6,12 +6,13 @@
 //! This is the reproduction of the paper's guarantee that generated code
 //! "type-checks in Java".
 
-use std::collections::HashMap;
+use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
+use std::sync::LazyLock;
 
 use crate::ast::*;
-use crate::typetable::TypeTable;
+use crate::typetable::{ClassLookup, TypeTable};
 
 /// A type error, with a human-readable description of the offending
 /// construct.
@@ -38,23 +39,33 @@ impl fmt::Display for TypeError {
 impl Error for TypeError {}
 
 /// The inferred type of an expression; `null` gets its own marker so it is
-/// assignable to any reference type.
+/// assignable to any reference type. Types are borrowed from the unit or
+/// the class database wherever they already exist there.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Inferred {
+pub enum Inferred<'a> {
     /// An ordinary type.
-    Ty(JavaType),
+    Ty(Cow<'a, JavaType>),
     /// The `null` literal.
     Null,
 }
 
-impl Inferred {
-    fn assignable_to(&self, to: &JavaType, table: &TypeTable) -> bool {
+impl Inferred<'_> {
+    fn assignable_to(&self, to: &JavaType, classes: &impl ClassLookup) -> bool {
         match self {
             Inferred::Null => to.is_reference(),
-            Inferred::Ty(t) => table.is_assignable(t, to),
+            Inferred::Ty(t) => classes.is_assignable(t, to),
         }
     }
+
+    fn is(&self, ty: &JavaType) -> bool {
+        matches!(self, Inferred::Ty(t) if **t == *ty)
+    }
 }
+
+/// `java.lang.String` and `java.lang.Object`, built once so literals and
+/// `null` arguments borrow them instead of allocating a name per use.
+static STRING_TYPE: LazyLock<JavaType> = LazyLock::new(JavaType::string);
+static OBJECT_TYPE: LazyLock<JavaType> = LazyLock::new(|| JavaType::class("java.lang.Object"));
 
 /// Checks every class and method of `unit` against `table`.
 ///
@@ -65,9 +76,20 @@ impl Inferred {
 /// each other through a synthetic local object; cross-class calls resolve
 /// against the unit's own classes as well as the table.
 pub fn check_unit(unit: &CompilationUnit, table: &TypeTable) -> Result<(), TypeError> {
+    check_unit_in(unit, table)
+}
+
+/// [`check_unit`] against any [`ClassLookup`] — in particular a
+/// [`crate::typetable::TableOverlay`], which adds the unit's own template
+/// class to a borrowed table without copying it.
+///
+/// # Errors
+///
+/// See [`check_unit`].
+pub fn check_unit_in(unit: &CompilationUnit, classes: &impl ClassLookup) -> Result<(), TypeError> {
     for class in &unit.classes {
         for method in &class.methods {
-            check_method(unit, class, method, table).map_err(|e| {
+            check_method(unit, class, method, classes).map_err(|e| {
                 TypeError::new(format!("{}.{}: {}", class.name, method.name, e.message))
             })?;
         }
@@ -75,33 +97,55 @@ pub fn check_unit(unit: &CompilationUnit, table: &TypeTable) -> Result<(), TypeE
     Ok(())
 }
 
-fn check_method(
+fn check_method<L: ClassLookup>(
     unit: &CompilationUnit,
     class: &ClassDecl,
     method: &MethodDecl,
-    table: &TypeTable,
+    classes: &L,
 ) -> Result<(), TypeError> {
-    let mut env: HashMap<String, JavaType> = HashMap::new();
+    let mut env = Env::default();
     for p in &method.params {
-        if env.insert(p.name.clone(), p.ty.clone()).is_some() {
+        if env.get(&p.name).is_some() {
             return Err(TypeError::new(format!("duplicate parameter `{}`", p.name)));
         }
+        env.vars.push((&p.name, &p.ty));
     }
-    let ck = Checker { unit, class, table };
+    let ck = Checker {
+        unit,
+        class,
+        classes,
+    };
     ck.check_block(&method.body, &mut env, &method.return_type)
 }
 
-struct Checker<'a> {
-    unit: &'a CompilationUnit,
-    class: &'a ClassDecl,
-    table: &'a TypeTable,
+/// The variables in scope, innermost last. A branch scope is the stack
+/// truncated back to its length at the branch, so scopes cost no copies.
+#[derive(Default)]
+struct Env<'a> {
+    vars: Vec<(&'a str, &'a JavaType)>,
 }
 
-impl Checker<'_> {
+impl<'a> Env<'a> {
+    fn get(&self, name: &str) -> Option<&'a JavaType> {
+        self.vars
+            .iter()
+            .rev()
+            .find(|(n, _)| *n == name)
+            .map(|(_, t)| *t)
+    }
+}
+
+struct Checker<'a, L> {
+    unit: &'a CompilationUnit,
+    class: &'a ClassDecl,
+    classes: &'a L,
+}
+
+impl<'a, L: ClassLookup> Checker<'a, L> {
     fn check_block(
         &self,
-        stmts: &[Stmt],
-        env: &mut HashMap<String, JavaType>,
+        stmts: &'a [Stmt],
+        env: &mut Env<'a>,
         ret: &JavaType,
     ) -> Result<(), TypeError> {
         for s in stmts {
@@ -110,36 +154,31 @@ impl Checker<'_> {
         Ok(())
     }
 
-    fn check_stmt(
-        &self,
-        s: &Stmt,
-        env: &mut HashMap<String, JavaType>,
-        ret: &JavaType,
-    ) -> Result<(), TypeError> {
+    fn check_stmt(&self, s: &'a Stmt, env: &mut Env<'a>, ret: &JavaType) -> Result<(), TypeError> {
         match s {
             Stmt::Decl { ty, name, init } => {
-                if env.contains_key(name) {
+                if env.get(name).is_some() {
                     return Err(TypeError::new(format!("variable `{name}` redeclared")));
                 }
                 if let Some(e) = init {
                     let it = self.infer(e, env)?;
-                    if !it.assignable_to(ty, self.table) {
+                    if !it.assignable_to(ty, self.classes) {
                         return Err(TypeError::new(format!(
                             "cannot initialize `{name}: {ty}` with {it:?}"
                         )));
                     }
                 }
-                env.insert(name.clone(), ty.clone());
+                env.vars.push((name, ty));
                 Ok(())
             }
             Stmt::Assign { target, value } => {
-                let Some(ty) = env.get(target).cloned() else {
+                let Some(ty) = env.get(target) else {
                     return Err(TypeError::new(format!(
                         "assignment to undeclared `{target}`"
                     )));
                 };
                 let it = self.infer(value, env)?;
-                if !it.assignable_to(&ty, self.table) {
+                if !it.assignable_to(ty, self.classes) {
                     return Err(TypeError::new(format!(
                         "cannot assign {it:?} to `{target}: {ty}`"
                     )));
@@ -161,7 +200,7 @@ impl Checker<'_> {
                 if *ret == JavaType::Void {
                     return Err(TypeError::new("void method returns a value"));
                 }
-                if !it.assignable_to(ret, self.table) {
+                if !it.assignable_to(ret, self.classes) {
                     return Err(TypeError::new(format!(
                         "return type mismatch: {it:?} vs `{ret}`"
                     )));
@@ -174,38 +213,39 @@ impl Checker<'_> {
                 else_body,
             } => {
                 let it = self.infer(cond, env)?;
-                if it != Inferred::Ty(JavaType::Boolean) {
+                if !it.is(&JavaType::Boolean) {
                     return Err(TypeError::new("if-condition must be boolean"));
                 }
                 // Each branch introduces its own scope.
-                let mut then_env = env.clone();
-                self.check_block(then_body, &mut then_env, ret)?;
-                let mut else_env = env.clone();
-                self.check_block(else_body, &mut else_env, ret)
+                let outer = env.vars.len();
+                self.check_block(then_body, env, ret)?;
+                env.vars.truncate(outer);
+                self.check_block(else_body, env, ret)?;
+                env.vars.truncate(outer);
+                Ok(())
             }
             Stmt::Comment(_) => Ok(()),
         }
     }
 
-    fn infer(&self, e: &Expr, env: &HashMap<String, JavaType>) -> Result<Inferred, TypeError> {
+    fn infer(&self, e: &'a Expr, env: &Env<'a>) -> Result<Inferred<'a>, TypeError> {
         match e {
-            Expr::Lit(Lit::Int(_)) => Ok(Inferred::Ty(JavaType::Int)),
-            Expr::Lit(Lit::Str(_)) => Ok(Inferred::Ty(JavaType::string())),
-            Expr::Lit(Lit::Bool(_)) => Ok(Inferred::Ty(JavaType::Boolean)),
+            Expr::Lit(Lit::Int(_)) => Ok(Inferred::Ty(Cow::Owned(JavaType::Int))),
+            Expr::Lit(Lit::Str(_)) => Ok(Inferred::Ty(Cow::Borrowed(&STRING_TYPE))),
+            Expr::Lit(Lit::Bool(_)) => Ok(Inferred::Ty(Cow::Owned(JavaType::Boolean))),
             Expr::Lit(Lit::Null) => Ok(Inferred::Null),
             Expr::Var(v) => env
                 .get(v)
-                .cloned()
-                .map(Inferred::Ty)
+                .map(|t| Inferred::Ty(Cow::Borrowed(t)))
                 .ok_or_else(|| TypeError::new(format!("undeclared variable `{v}`"))),
             Expr::New { class, args } => {
                 let arg_tys = self.infer_args(args, env)?;
-                if self.table.resolve_ctor(class, &arg_tys).is_none() {
+                if self.classes.resolve_ctor(class, &arg_tys).is_none() {
                     return Err(TypeError::new(format!(
                         "no constructor {class}({arg_tys:?})"
                     )));
                 }
-                Ok(Inferred::Ty(JavaType::class(class.clone())))
+                Ok(Inferred::Ty(Cow::Owned(JavaType::class(class.as_str()))))
             }
             Expr::Call { recv, name, args } => {
                 let recv_t = self.infer(recv, env)?;
@@ -220,12 +260,12 @@ impl Checker<'_> {
                     }
                     let arg_tys = self.infer_args(args, env)?;
                     let m = self
-                        .table
+                        .classes
                         .resolve_method(class_name, name, false, &arg_tys)
                         .ok_or_else(|| {
                             TypeError::new(format!("no method {class_name}.{name}({arg_tys:?})"))
                         })?;
-                    Ok(Inferred::Ty(m.ret.clone()))
+                    Ok(Inferred::Ty(Cow::Borrowed(&m.ret)))
                 } else {
                     Err(TypeError::new(format!(
                         "method call `{name}` on non-class type `{rt}`"
@@ -235,93 +275,95 @@ impl Checker<'_> {
             Expr::StaticCall { class, name, args } => {
                 let arg_tys = self.infer_args(args, env)?;
                 let m = self
-                    .table
+                    .classes
                     .resolve_method(class, name, true, &arg_tys)
                     .ok_or_else(|| {
                         TypeError::new(format!("no static method {class}.{name}({arg_tys:?})"))
                     })?;
-                Ok(Inferred::Ty(m.ret.clone()))
+                Ok(Inferred::Ty(Cow::Borrowed(&m.ret)))
             }
             Expr::StaticField { class, field } => {
                 let c = self
-                    .table
+                    .classes
                     .resolve_constant(class, field)
                     .ok_or_else(|| TypeError::new(format!("no constant {class}.{field}")))?;
-                Ok(Inferred::Ty(c.ty.clone()))
+                Ok(Inferred::Ty(Cow::Borrowed(&c.ty)))
             }
             Expr::NewArray { elem, len } => {
                 let lt = self.infer(len, env)?;
-                if lt != Inferred::Ty(JavaType::Int) {
+                if !lt.is(&JavaType::Int) {
                     return Err(TypeError::new("array length must be int"));
                 }
-                Ok(Inferred::Ty(JavaType::Array(Box::new(elem.clone()))))
+                Ok(Inferred::Ty(Cow::Owned(JavaType::Array(Box::new(
+                    elem.clone(),
+                )))))
             }
             Expr::ArrayLit { elem, elems } => {
                 for el in elems {
                     let it = self.infer(el, env)?;
                     // Byte array literals are written with int literals,
                     // mirroring Java's implicit narrowing for constants.
-                    let ok = match (&it, elem) {
-                        (Inferred::Ty(JavaType::Int), JavaType::Byte | JavaType::Char) => true,
-                        _ => it.assignable_to(elem, self.table),
-                    };
+                    let ok = (it.is(&JavaType::Int)
+                        && matches!(elem, JavaType::Byte | JavaType::Char))
+                        || it.assignable_to(elem, self.classes);
                     if !ok {
                         return Err(TypeError::new(format!(
                             "array element {it:?} not assignable to `{elem}`"
                         )));
                     }
                 }
-                Ok(Inferred::Ty(JavaType::Array(Box::new(elem.clone()))))
+                Ok(Inferred::Ty(Cow::Owned(JavaType::Array(Box::new(
+                    elem.clone(),
+                )))))
             }
             Expr::Bin { op, lhs, rhs } => {
                 let lt = self.infer(lhs, env)?;
                 let rt = self.infer(rhs, env)?;
+                let ints = lt.is(&JavaType::Int) && rt.is(&JavaType::Int);
                 match op {
                     BinOp::Add => {
-                        if lt == Inferred::Ty(JavaType::Int) && rt == Inferred::Ty(JavaType::Int) {
-                            Ok(Inferred::Ty(JavaType::Int))
-                        } else if lt == Inferred::Ty(JavaType::string())
-                            || rt == Inferred::Ty(JavaType::string())
-                        {
-                            Ok(Inferred::Ty(JavaType::string()))
+                        if ints {
+                            Ok(Inferred::Ty(Cow::Owned(JavaType::Int)))
+                        } else if lt.is(&STRING_TYPE) || rt.is(&STRING_TYPE) {
+                            Ok(Inferred::Ty(Cow::Borrowed(&STRING_TYPE)))
                         } else {
                             Err(TypeError::new("`+` needs ints or a string"))
                         }
                     }
                     BinOp::Lt => {
-                        if lt == Inferred::Ty(JavaType::Int) && rt == Inferred::Ty(JavaType::Int) {
-                            Ok(Inferred::Ty(JavaType::Boolean))
+                        if ints {
+                            Ok(Inferred::Ty(Cow::Owned(JavaType::Boolean)))
                         } else {
                             Err(TypeError::new("`<` needs int operands"))
                         }
                     }
-                    BinOp::Eq | BinOp::Ne => Ok(Inferred::Ty(JavaType::Boolean)),
+                    BinOp::Eq | BinOp::Ne => Ok(Inferred::Ty(Cow::Owned(JavaType::Boolean))),
                 }
             }
             Expr::Cast { ty, expr } => {
                 self.infer(expr, env)?;
-                Ok(Inferred::Ty(ty.clone()))
+                Ok(Inferred::Ty(Cow::Borrowed(ty)))
             }
         }
     }
 
     fn infer_args(
         &self,
-        args: &[Expr],
-        env: &HashMap<String, JavaType>,
-    ) -> Result<Vec<JavaType>, TypeError> {
+        args: &'a [Expr],
+        env: &Env<'a>,
+    ) -> Result<Vec<Cow<'a, JavaType>>, TypeError> {
         args.iter()
             .map(|a| match self.infer(a, env)? {
                 Inferred::Ty(t) => Ok(t),
                 // `null` arguments match any reference parameter; model as
                 // Object, which our assignability accepts only for Object
                 // parameters — stricter than Java but safe.
-                Inferred::Null => Ok(JavaType::class("java.lang.Object")),
+                Inferred::Null => Ok(Cow::Borrowed(&*OBJECT_TYPE)),
             })
             .collect()
     }
 
-    fn local_class(&self, name: &str) -> Option<&ClassDecl> {
+    fn local_class(&self, name: &str) -> Option<&'a ClassDecl> {
         // Local classes are referenced by simple name.
         self.unit
             .classes
@@ -338,11 +380,11 @@ impl Checker<'_> {
 
     fn infer_local_call(
         &self,
-        class: &ClassDecl,
+        class: &'a ClassDecl,
         name: &str,
-        args: &[Expr],
-        env: &HashMap<String, JavaType>,
-    ) -> Result<Inferred, TypeError> {
+        args: &'a [Expr],
+        env: &Env<'a>,
+    ) -> Result<Inferred<'a>, TypeError> {
         let m = class
             .find_method(name)
             .ok_or_else(|| TypeError::new(format!("no method {}.{}", class.name, name)))?;
@@ -357,14 +399,14 @@ impl Checker<'_> {
             )));
         }
         for (p, a) in m.params.iter().zip(&arg_tys) {
-            if !self.table.is_assignable(a, &p.ty) {
+            if !self.classes.is_assignable(a, &p.ty) {
                 return Err(TypeError::new(format!(
                     "{}.{}: argument `{a}` not assignable to `{}`",
                     class.name, name, p.ty
                 )));
             }
         }
-        Ok(Inferred::Ty(m.return_type.clone()))
+        Ok(Inferred::Ty(Cow::Borrowed(&m.return_type)))
     }
 }
 

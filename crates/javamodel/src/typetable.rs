@@ -1,6 +1,7 @@
 //! A class database modelling the Java standard library surface the
 //! generated programs use, with subtyping and overload resolution.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 
 use crate::ast::JavaType;
@@ -143,8 +144,8 @@ impl ClassDef {
     }
 }
 
-/// The class database: fully-qualified name → definition, with subtype
-/// queries and overload resolution.
+/// The class database: fully-qualified name → definition. Subtype
+/// queries and overload resolution come from [`ClassLookup`].
 #[derive(Debug, Clone, Default)]
 pub struct TypeTable {
     classes: HashMap<String, ClassDef>,
@@ -166,11 +167,6 @@ impl TypeTable {
         self.classes.insert(def.name.clone(), def);
     }
 
-    /// Looks up a class by fully-qualified name.
-    pub fn class(&self, name: &str) -> Option<&ClassDef> {
-        self.classes.get(name)
-    }
-
     /// Number of classes in the table.
     pub fn len(&self) -> usize {
         self.classes.len()
@@ -185,14 +181,40 @@ impl TypeTable {
     pub fn class_names(&self) -> Vec<String> {
         self.classes.keys().cloned().collect()
     }
+}
+
+/// A borrowed [`TypeTable`] plus one class of its own. The extra class
+/// shadows a table class of the same name, exactly as [`TypeTable::add`]
+/// would replace it, so checking against the overlay gives the answers a
+/// cloned-and-extended table would, without copying the table.
+#[derive(Debug, Clone, Copy)]
+pub struct TableOverlay<'t> {
+    base: &'t TypeTable,
+    extra: &'t ClassDef,
+}
+
+impl<'t> TableOverlay<'t> {
+    /// Layers `extra` over `base`.
+    pub fn new(base: &'t TypeTable, extra: &'t ClassDef) -> Self {
+        TableOverlay { base, extra }
+    }
+}
+
+/// A class database the queries below run over: anything that can look a
+/// class up by fully-qualified name. The subtype, assignability and
+/// overload logic lives only here, so [`TypeTable`] and [`TableOverlay`]
+/// answer every query the same way.
+pub trait ClassLookup {
+    /// Looks up a class by fully-qualified name.
+    fn class(&self, name: &str) -> Option<&ClassDef>;
 
     /// Whether `sub` names a class that is `sup` or a transitive
     /// subclass/implementor of `sup`.
-    pub fn is_subclass_of(&self, sub: &str, sup: &str) -> bool {
+    fn is_subclass_of(&self, sub: &str, sup: &str) -> bool {
         if sub == sup {
             return true;
         }
-        let Some(def) = self.classes.get(sub) else {
+        let Some(def) = self.class(sub) else {
             return false;
         };
         if let Some(s) = &def.superclass {
@@ -208,7 +230,7 @@ impl TypeTable {
     /// along the subtype graph, and `null` → any reference type (the
     /// checker encodes `null` as `Class("java.lang.Object")` plus a flag,
     /// so it calls this only for non-null).
-    pub fn is_assignable(&self, from: &JavaType, to: &JavaType) -> bool {
+    fn is_assignable(&self, from: &JavaType, to: &JavaType) -> bool {
         match (from, to) {
             (a, b) if a == b => true,
             (JavaType::Class(f), JavaType::Class(t)) => self.is_subclass_of(f, t),
@@ -218,25 +240,25 @@ impl TypeTable {
     }
 
     /// Resolves a constructor of `class` applicable to `args`.
-    pub fn resolve_ctor(&self, class: &str, args: &[JavaType]) -> Option<&MethodSig> {
-        let def = self.classes.get(class)?;
-        def.constructors
+    fn resolve_ctor<A: Borrow<JavaType>>(&self, class: &str, args: &[A]) -> Option<&MethodSig> {
+        self.class(class)?
+            .constructors
             .iter()
-            .find(|c| self.applicable(&c.params, args))
+            .find(|c| applicable(self, &c.params, args))
     }
 
     /// Resolves a method of `class` (searching superclasses and
     /// interfaces) by name, staticness and applicability to `args`.
-    pub fn resolve_method(
+    fn resolve_method<A: Borrow<JavaType>>(
         &self,
         class: &str,
         name: &str,
         is_static: bool,
-        args: &[JavaType],
+        args: &[A],
     ) -> Option<&MethodSig> {
-        let def = self.classes.get(class)?;
+        let def = self.class(class)?;
         if let Some(m) = def.methods.iter().find(|m| {
-            m.name == name && m.is_static == is_static && self.applicable(&m.params, args)
+            m.name == name && m.is_static == is_static && applicable(self, &m.params, args)
         }) {
             return Some(m);
         }
@@ -245,30 +267,46 @@ impl TypeTable {
                 return Some(m);
             }
         }
-        for i in &def.interfaces {
-            if let Some(m) = self.resolve_method(i, name, is_static, args) {
-                return Some(m);
-            }
-        }
-        None
+        def.interfaces
+            .iter()
+            .find_map(|i| self.resolve_method(i, name, is_static, args))
     }
 
     /// Looks up a static constant on `class`.
-    pub fn resolve_constant(&self, class: &str, field: &str) -> Option<&ConstantDef> {
-        self.classes
-            .get(class)?
+    fn resolve_constant(&self, class: &str, field: &str) -> Option<&ConstantDef> {
+        self.class(class)?
             .constants
             .iter()
             .find(|c| c.name == field)
     }
+}
 
-    fn applicable(&self, params: &[JavaType], args: &[JavaType]) -> bool {
-        params.len() == args.len()
-            && params
-                .iter()
-                .zip(args)
-                .all(|(p, a)| self.is_assignable(a, p))
+impl ClassLookup for TypeTable {
+    fn class(&self, name: &str) -> Option<&ClassDef> {
+        self.classes.get(name)
     }
+}
+
+impl ClassLookup for TableOverlay<'_> {
+    fn class(&self, name: &str) -> Option<&ClassDef> {
+        if name == self.extra.name {
+            Some(self.extra)
+        } else {
+            self.base.class(name)
+        }
+    }
+}
+
+fn applicable<L: ClassLookup + ?Sized, A: Borrow<JavaType>>(
+    classes: &L,
+    params: &[JavaType],
+    args: &[A],
+) -> bool {
+    params.len() == args.len()
+        && params
+            .iter()
+            .zip(args)
+            .all(|(p, a)| classes.is_assignable(a.borrow(), p))
 }
 
 #[cfg(test)]
@@ -355,7 +393,7 @@ mod tests {
                 &[JavaType::byte_array(), JavaType::string()]
             )
             .is_some());
-        assert!(t.resolve_ctor("a.SecretKeySpec", &[]).is_none());
+        assert!(t.resolve_ctor::<JavaType>("a.SecretKeySpec", &[]).is_none());
         let c = t.resolve_constant("a.Cipher", "ENCRYPT_MODE").unwrap();
         assert_eq!(c.int_value, Some(1));
     }
@@ -365,6 +403,8 @@ mod tests {
         let mut t = sample();
         t.add(ClassDef::new("a.Base").method("go", vec![], JavaType::Void));
         t.add(ClassDef::new("a.Derived").extends("a.Base"));
-        assert!(t.resolve_method("a.Derived", "go", false, &[]).is_some());
+        assert!(t
+            .resolve_method::<JavaType>("a.Derived", "go", false, &[])
+            .is_some());
     }
 }

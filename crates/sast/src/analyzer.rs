@@ -5,7 +5,7 @@ use std::collections::{HashMap, HashSet};
 use crysl::ast::{Atom, CmpOp, Constraint, Literal, MethodEvent, ParamPattern, PredArg, Rule};
 use crysl::RuleSet;
 use javamodel::ast::*;
-use javamodel::TypeTable;
+use javamodel::{ClassLookup, TypeTable};
 use statemachine::{Dfa, Nfa};
 
 use crate::absdomain::{AbsVal, PredicateStore, TrackedObject, ValId};

@@ -1,7 +1,7 @@
-//! The Table-1 reporter: runs all eleven shipped use cases through an
-//! instrumented engine and renders the paper's evaluation table —
-//! per-use-case, per-phase runtime *and memory* plus the pipeline
-//! metrics — as text and as a devharness-JSON document
+//! The Table-1 reporter: runs every catalogued use case (26 today)
+//! through an instrumented engine and renders the paper's evaluation
+//! table — per-use-case, per-phase runtime *and memory* plus the
+//! pipeline metrics — as text and as a devharness-JSON document
 //! (`REPORT_table1.json`).
 //!
 //! Memory comes from two instruments. Per-phase `alloc_bytes` /
