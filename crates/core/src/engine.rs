@@ -24,6 +24,7 @@
 //! ([`shared_order_cache`]), so single-shot callers get the compiled
 //! artefacts for free.
 
+use std::borrow::Borrow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -534,14 +535,18 @@ impl GenEngine {
     /// pipeline metrics are therefore identical across thread counts and
     /// schedules; only the `engine.batch.worker.*` utilisation counters
     /// reflect actual scheduling.
+    ///
+    /// Templates may be owned or borrowed (`&[Template]` or
+    /// `&[&Template]`), so a caller holding a shared catalogue can batch
+    /// a subset of it without cloning a single template.
     pub fn generate_batch(
         &self,
-        templates: &[Template],
+        templates: &[impl Borrow<Template> + Sync],
         threads: usize,
     ) -> Vec<Result<Generated, EngineError>> {
         let slots = scatter_on_workers(templates, threads, |worker, _, t| {
             let sink = MetricsCollector::fresh();
-            let outcome = self.generate_into(t, &sink);
+            let outcome = self.generate_into(t.borrow(), &sink);
             (worker, sink, outcome)
         });
         let collector = MetricsCollector::new(self.metrics.clone());
@@ -663,6 +668,18 @@ mod tests {
             Err(EngineError::Gen(GenError::UnknownRule(_)))
         ));
         assert!(results[2].is_ok());
+
+        // A borrowed batch yields exactly what the owned batch yields.
+        let borrowed: Vec<&Template> = templates.iter().collect();
+        let again = engine.generate_batch(&borrowed, 2);
+        assert_eq!(again.len(), results.len());
+        for (owned, borrowed) in results.iter().zip(&again) {
+            match (owned, borrowed) {
+                (Ok(a), Ok(b)) => assert_eq!(a.java_source, b.java_source),
+                (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string()),
+                _ => panic!("owned and borrowed batches disagree on a slot"),
+            }
+        }
     }
 
     #[test]

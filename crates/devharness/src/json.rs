@@ -120,20 +120,35 @@ fn write_num(f: &mut fmt::Formatter<'_>, n: f64) -> fmt::Result {
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+/// Writes `s` as a quoted JSON string literal — exactly the bytes
+/// `Json::Str(s)` displays as — without building a `Json` value, so a
+/// caller can frame a large borrowed string without copying it first.
+/// Runs of characters that need no escape go out in one `write_str`.
+pub fn write_escaped<W: fmt::Write + ?Sized>(out: &mut W, s: &str) -> fmt::Result {
+    out.write_str("\"")?;
+    // Every byte that needs an escape is ASCII, so each split point is
+    // a char boundary and multi-byte UTF-8 passes through untouched.
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.write_str(&s[run..i])?;
+        if escape.is_empty() {
+            write!(out, "\\u{b:04x}")?;
+        } else {
+            out.write_str(escape)?;
         }
+        run = i + 1;
     }
-    f.write_str("\"")
+    out.write_str(&s[run..])?;
+    out.write_str("\"")
 }
 
 /// A parse error with a byte offset into the input.
@@ -264,12 +279,16 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so this is safe).
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| JsonError::at(*pos, "invalid UTF-8"))?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole run up to the next quote or backslash.
+                // Both are ASCII, so the run ends on a char boundary of
+                // the input &str and is valid UTF-8 on its own.
+                let start = *pos;
+                while !matches!(bytes.get(*pos), None | Some(b'"' | b'\\')) {
+                    *pos += 1;
+                }
+                let run = std::str::from_utf8(&bytes[start..*pos])
+                    .map_err(|_| JsonError::at(start, "invalid UTF-8"))?;
+                out.push_str(run);
             }
         }
     }
@@ -355,6 +374,45 @@ mod tests {
         let v = Json::Str("a\"b\\c\nd\te\u{1}".to_owned());
         let text = v.to_string();
         assert_eq!(Json::parse(&text).unwrap(), v);
+    }
+
+    #[test]
+    fn large_strings_roundtrip_exactly_and_print_like_per_char_escaping() {
+        // Well over 64 KiB, mixing every escape class with multi-byte
+        // UTF-8 so runs split at quotes, backslashes and control bytes.
+        let unit =
+            "plain text \"quoted\" back\\slash\nline\r\tTab \u{1}\u{1f}\u{7f} é ü 漢字 🦀 / ";
+        let mut big = String::new();
+        while big.len() < 64 * 1024 {
+            big.push_str(unit);
+        }
+        big.push('"');
+        let value = Json::Str(big.clone());
+        let text = value.to_string();
+
+        // The reference: the per-character escaping the writer replaced.
+        let mut expected = String::from("\"");
+        for c in big.chars() {
+            match c {
+                '"' => expected.push_str("\\\""),
+                '\\' => expected.push_str("\\\\"),
+                '\n' => expected.push_str("\\n"),
+                '\r' => expected.push_str("\\r"),
+                '\t' => expected.push_str("\\t"),
+                c if (c as u32) < 0x20 => expected.push_str(&format!("\\u{:04x}", c as u32)),
+                c => expected.push(c),
+            }
+        }
+        expected.push('"');
+        assert_eq!(text, expected);
+
+        let parsed = Json::parse(&text).unwrap();
+        assert_eq!(parsed, value);
+        assert_eq!(parsed.to_string(), text);
+
+        let mut framed = String::new();
+        write_escaped(&mut framed, &big).unwrap();
+        assert_eq!(framed, text);
     }
 
     #[test]

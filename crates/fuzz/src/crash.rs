@@ -10,11 +10,17 @@
 //! instead of printing to stderr — fuzz logs stay byte-deterministic.
 //! Outside guarded runs the hook delegates to the previously installed
 //! hook, so ordinary test failures keep their backtraces.
+//!
+//! The process-global slot is shared, so guarded runs on different
+//! threads are serialised: a run holds a lock, re-entrant on its own
+//! thread so guarded runs still nest, and a concurrent run waits for
+//! it instead of resetting or taking the other run's worker panic.
 
 use std::cell::RefCell;
 use std::panic::{self, AssertUnwindSafe, PanicHookInfo};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, Once, OnceLock};
+use std::sync::{Condvar, Mutex, Once, OnceLock};
+use std::thread::{self, ThreadId};
 
 /// A deduplicable crash: the panic site and its (first) message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,8 +38,51 @@ static PREV_HOOK: OnceLock<Hook> = OnceLock::new();
 static GUARDED: AtomicUsize = AtomicUsize::new(0);
 static CROSS_THREAD: Mutex<Option<Crash>> = Mutex::new(None);
 
+/// Owner of the guarded-run lock and its nesting depth.
+static RUN_OWNER: Mutex<Option<(ThreadId, usize)>> = Mutex::new(None);
+static RUN_RELEASED: Condvar = Condvar::new();
+
 thread_local! {
     static LAST: RefCell<Option<Crash>> = const { RefCell::new(None) };
+}
+
+/// Holds the guarded-run lock for one (possibly nested) run; dropping
+/// it releases one level, and the outermost level frees the lock.
+struct RunLock;
+
+impl RunLock {
+    fn acquire() -> RunLock {
+        let me = thread::current().id();
+        let mut owner = RUN_OWNER.lock().unwrap_or_else(|p| p.into_inner());
+        loop {
+            match &mut *owner {
+                None => {
+                    *owner = Some((me, 1));
+                    return RunLock;
+                }
+                Some((id, depth)) if *id == me => {
+                    *depth += 1;
+                    return RunLock;
+                }
+                Some(_) => {
+                    owner = RUN_RELEASED.wait(owner).unwrap_or_else(|p| p.into_inner());
+                }
+            }
+        }
+    }
+}
+
+impl Drop for RunLock {
+    fn drop(&mut self) {
+        let mut owner = RUN_OWNER.lock().unwrap_or_else(|p| p.into_inner());
+        if let Some((_, depth)) = &mut *owner {
+            *depth -= 1;
+            if *depth == 0 {
+                *owner = None;
+                RUN_RELEASED.notify_one();
+            }
+        }
+    }
 }
 
 fn record(info: &PanicHookInfo<'_>) {
@@ -102,9 +151,11 @@ fn install() {
 
 /// Runs `f`, capturing any panic — including panics on engine worker
 /// threads that `scatter` contains before they can unwind into us — as a
-/// fingerprinted [`Crash`]. Nested guarded runs are allowed.
+/// fingerprinted [`Crash`]. Nested guarded runs are allowed; guarded
+/// runs on other threads wait until this one finishes.
 pub fn run_guarded<R>(f: impl FnOnce() -> R) -> Result<R, Crash> {
     install();
+    let _lock = RunLock::acquire();
     GUARDED.fetch_add(1, Ordering::SeqCst);
     LAST.with(|l| *l.borrow_mut() = None);
     *CROSS_THREAD.lock().unwrap_or_else(|p| p.into_inner()) = None;
@@ -168,6 +219,35 @@ mod tests {
         })
         .unwrap_err();
         assert_eq!(err.message, "worker died");
+    }
+
+    #[test]
+    fn nested_runs_on_one_thread_do_not_deadlock() {
+        let outer = run_guarded(|| run_guarded(|| -> () { panic!("inner") }).unwrap_err());
+        assert_eq!(outer.unwrap().message, "inner");
+    }
+
+    #[test]
+    fn concurrent_runs_each_capture_their_own_workers_panic() {
+        let runners: Vec<_> = (0..8)
+            .map(|n| {
+                thread::spawn(move || {
+                    for round in 0..4 {
+                        let err = run_guarded(|| {
+                            let worker = thread::spawn(move || panic!("worker {n} round {round}"));
+                            let _ = worker.join();
+                            "survived"
+                        })
+                        .unwrap_err();
+                        assert_eq!(err.message, format!("worker {n} round {round}"));
+                        assert_eq!(run_guarded(|| n).unwrap(), n);
+                    }
+                })
+            })
+            .collect();
+        for runner in runners {
+            runner.join().expect("every guarded run saw its own crash");
+        }
     }
 
     #[test]

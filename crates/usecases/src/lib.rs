@@ -46,6 +46,8 @@ pub mod signing;
 pub mod symmetric;
 pub mod token;
 
+use std::sync::LazyLock;
+
 use cognicrypt_core::Template;
 
 /// Package all use-case templates generate into.
@@ -65,8 +67,19 @@ pub struct UseCase {
     pub template: Template,
 }
 
+/// The full catalogue in id order, built once per process and
+/// borrowed for its lifetime. Lookups on a hot path (the daemon's
+/// `generate` and `batch`, the CLI's selector resolution) read this
+/// instead of rebuilding every template with [`all_use_cases`].
+pub fn catalogue() -> &'static [UseCase] {
+    static CATALOGUE: LazyLock<Vec<UseCase>> = LazyLock::new(all_use_cases);
+    &CATALOGUE
+}
+
 /// The full catalogue in id order: Table 1 rows 1–11, then the AEAD
-/// (12–16), key-agreement (17–21) and token (22–26) families.
+/// (12–16), key-agreement (17–21) and token (22–26) families. Each
+/// call builds fresh, owned templates; see [`catalogue`] for the
+/// shared, borrowed copy.
 pub fn all_use_cases() -> Vec<UseCase> {
     vec![
         UseCase {
@@ -246,6 +259,18 @@ mod tests {
         names.sort();
         names.dedup();
         assert_eq!(names.len(), ucs.len());
+    }
+
+    #[test]
+    fn catalogue_is_built_once_and_matches_all_use_cases() {
+        let shared = catalogue();
+        assert!(std::ptr::eq(shared, catalogue()));
+        let fresh = all_use_cases();
+        assert_eq!(shared.len(), fresh.len());
+        for (a, b) in shared.iter().zip(&fresh) {
+            assert_eq!((a.id, a.name, a.sources), (b.id, b.name, b.sources));
+            assert_eq!(a.template, b.template);
+        }
     }
 
     #[test]

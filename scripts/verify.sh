@@ -55,9 +55,10 @@ cargo test -q --offline --locked
 
 # The root-package run above does not reach the member crates' own unit
 # tests. The code model and the engine core carry the printer pins, the
-# type-table queries and the assembler tests, so run those two crates too.
-echo "==> cargo test -q --offline --locked -p javamodel -p cognicrypt-core"
-cargo test -q --offline --locked -p javamodel -p cognicrypt-core
+# type-table queries and the assembler tests; the fuzzer carries the
+# crash-capture tests, which must hold under parallel test threads.
+echo "==> cargo test -q --offline --locked -p javamodel -p cognicrypt-core -p cognicrypt-fuzz"
+cargo test -q --offline --locked -p javamodel -p cognicrypt-core -p cognicrypt-fuzz
 
 # The CLI's cached batch path must emit exactly what the single-shot
 # generate path emits for every use case — a divergence means the

@@ -23,7 +23,7 @@ pub use usecases;
 use std::sync::OnceLock;
 
 use cognicrypt_core::GenEngine;
-use usecases::{all_use_cases, UseCase};
+use usecases::{catalogue, UseCase};
 
 /// The process-wide generation engine over the shipped JCA rule set and
 /// type table: the embedded rules via `rules::open` (parsed once per
@@ -52,13 +52,15 @@ pub fn jca_engine() -> Result<&'static GenEngine, Error> {
 
 /// Resolves a use-case selector — a Table-1 id (`"3"`) or a
 /// case-insensitive name fragment (`"password"`) — against the shipped
-/// use cases. Shared by the CLI front end and the daemon protocol.
+/// use cases. Shared by the CLI front end and the daemon protocol; the
+/// match is borrowed from the process-wide [`catalogue`], so a lookup
+/// builds no templates.
 ///
 /// # Errors
 ///
 /// [`Error::Usage`] when nothing matches.
-pub fn find_use_case(selector: &str) -> Result<UseCase, Error> {
-    let cases = all_use_cases();
+pub fn find_use_case(selector: &str) -> Result<&'static UseCase, Error> {
+    let cases = catalogue();
     // A numeric selector is an id, never a name fragment: "0" must not
     // resolve just because some use-case name happens to contain that
     // digit.
@@ -66,14 +68,12 @@ pub fn find_use_case(selector: &str) -> Result<UseCase, Error> {
         return cases
             .iter()
             .find(|u| u.id == id)
-            .cloned()
             .ok_or_else(|| Error::Usage(format!("no use case {id} (try `list`)")));
     }
     let lowered = selector.to_lowercase();
     cases
         .iter()
         .find(|u| u.name.to_lowercase().contains(&lowered))
-        .cloned()
         .ok_or_else(|| Error::Usage(format!("no use case matches `{selector}` (try `list`)")))
 }
 

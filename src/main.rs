@@ -283,7 +283,7 @@ fn with_use_case(
 ) -> Result<(), Error> {
     let selector =
         selector.ok_or_else(|| Error::Usage("missing use-case id or name".to_owned()))?;
-    f(&find_use_case(selector)?)
+    f(find_use_case(selector)?)
 }
 
 fn cmd_list() -> Result<(), Error> {

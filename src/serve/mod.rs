@@ -12,8 +12,14 @@
 //! * two transports over one transport-agnostic request core:
 //!   minimal HTTP/1.1 on a [`std::net::TcpListener`] ([`http`]) and a
 //!   line/JSON protocol on a Unix socket ([`uds`], unix only);
-//! * `generate`, `batch` and `report` served concurrently — batch
-//!   requests fan out over the engine's existing scatter pool;
+//! * a pool of workers per transport, each blocked in `accept` so a
+//!   connection is served as soon as it arrives; stopping sets a flag
+//!   and opens one throwaway connection per worker so every blocked
+//!   `accept` returns (see [`ServerState::request_stop`]);
+//! * `generate`, `batch` and `report` served concurrently — use cases
+//!   resolve against the static [`usecases::catalogue`], and batch
+//!   requests fan its borrowed templates out over the engine's
+//!   existing scatter pool;
 //! * `/metrics` rendered from the daemon's [`MetricsRegistry`] (merged
 //!   per request, never sampled) plus the engine registry and the
 //!   daemon-lifetime allocator counters from
@@ -41,11 +47,11 @@ pub mod obs;
 pub mod uds;
 
 use std::collections::HashSet;
-use std::net::TcpListener;
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -54,14 +60,14 @@ use cognicrypt_core::telemetry::{MetricsCollector, MetricsRegistry};
 use cognicrypt_core::GenEngine;
 use devharness::json::Json;
 use rules::{catalog_pack, PackManifest, PackSource, RulePack};
-use usecases::all_use_cases;
+use usecases::{catalogue, UseCase};
 
 use crate::{find_use_case, report, Error};
 
-/// How long a worker blocks in `accept` polling before rechecking the
-/// stop flag. Listeners run non-blocking; this is the shutdown latency
-/// ceiling, not a per-request cost.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
+/// Pause after a failed `accept` (`EMFILE`, `ECONNABORTED`, …) so a
+/// persistent accept error cannot spin a CPU. Listeners block, so this
+/// is the only sleep in a worker, and a served request never meets it.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(5);
 
 /// Per-connection socket read/write timeout: a hostile client that
 /// connects and stalls forever must release its worker.
@@ -302,9 +308,52 @@ impl Response {
     }
 }
 
+/// A bound transport, as far as a stop request needs it: where to
+/// connect so that a worker blocked in its `accept` returns.
+#[derive(Debug, Clone)]
+enum WakeTarget {
+    /// A loopback-reachable address of the HTTP listener.
+    Tcp(SocketAddr),
+    /// The Unix-socket path.
+    #[cfg(unix)]
+    Uds(PathBuf),
+}
+
+impl WakeTarget {
+    /// The address a wake connection dials for a listener bound to
+    /// `bound`: the address itself, or loopback on the bound port for a
+    /// wildcard bind (`0.0.0.0`, `[::]`), which cannot be connected to.
+    fn tcp(bound: SocketAddr) -> WakeTarget {
+        let mut addr = bound;
+        if addr.ip().is_unspecified() {
+            addr.set_ip(match addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        WakeTarget::Tcp(addr)
+    }
+
+    /// Opens and immediately drops one connection. The accepting
+    /// worker sees the stop flag and exits without reading from it.
+    /// Best effort: a failed connect means the listener is already
+    /// gone, and with it every worker blocked on it.
+    fn poke(&self) {
+        match self {
+            WakeTarget::Tcp(addr) => {
+                let _ = TcpStream::connect_timeout(addr, IO_TIMEOUT);
+            }
+            #[cfg(unix)]
+            WakeTarget::Uds(path) => {
+                let _ = std::os::unix::net::UnixStream::connect(path);
+            }
+        }
+    }
+}
+
 /// The daemon's shared state: the swappable warm engine, the
-/// daemon-lifetime metrics registry, and the stop flag every worker
-/// polls.
+/// daemon-lifetime metrics registry, the stop flag every worker checks
+/// after each `accept`, and the bound transports a stop request wakes.
 pub struct ServerState {
     engine: RwLock<Arc<GenEngine>>,
     metrics: Arc<MetricsRegistry>,
@@ -314,6 +363,9 @@ pub struct ServerState {
     profile: Arc<obs::ProfileSwitch>,
     slow_ns: Option<u64>,
     stop: AtomicBool,
+    /// Each bound transport with its worker count: one wake connection
+    /// per worker unblocks the whole accept pool.
+    wake: Mutex<Vec<(WakeTarget, usize)>>,
 }
 
 impl ServerState {
@@ -382,6 +434,7 @@ impl ServerState {
             profile,
             slow_ns: config.slow_ms.map(|ms| ms.saturating_mul(1_000_000)),
             stop: AtomicBool::new(false),
+            wake: Mutex::new(Vec::new()),
         })
     }
 
@@ -405,13 +458,46 @@ impl ServerState {
 
     /// Whether shutdown was requested.
     pub fn stopping(&self) -> bool {
-        self.stop.load(Ordering::Relaxed)
+        self.stop.load(Ordering::SeqCst)
     }
 
     /// Requests shutdown: workers finish their current connection and
-    /// exit their accept loops.
+    /// exit their accept loops. The first call sets the stop flag and
+    /// then opens one throwaway connection per worker per bound
+    /// transport, so every worker blocked in `accept` returns, sees the
+    /// flag and exits; later calls do nothing. Safe to call from a
+    /// worker thread (the protocol-level `shutdown`): a connect
+    /// completes in the listen backlog without anyone accepting it.
     pub fn request_stop(&self) {
-        self.stop.store(true, Ordering::Relaxed);
+        if self.stop.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        // The flag is set before the list is taken, so a transport
+        // registering concurrently either lands in this list or sees
+        // the flag and wakes its own workers.
+        let targets = std::mem::take(&mut *self.wake.lock().unwrap_or_else(|p| p.into_inner()));
+        for (target, workers) in &targets {
+            for _ in 0..*workers {
+                target.poke();
+            }
+        }
+    }
+
+    /// Records a bound transport served by `workers` accept loops, so
+    /// [`ServerState::request_stop`] can wake them. A transport bound
+    /// after a stop was already requested — a protocol `shutdown` can
+    /// reach an earlier transport's workers while [`Server::start`] is
+    /// still binding the next — is woken here instead.
+    fn register_wake(&self, target: WakeTarget, workers: usize) {
+        let mut wake = self.wake.lock().unwrap_or_else(|p| p.into_inner());
+        if !self.stopping() {
+            wake.push((target, workers));
+            return;
+        }
+        drop(wake);
+        for _ in 0..workers {
+            target.poke();
+        }
     }
 
     /// [`ServerState::handle_tagged`] with the `"inproc"` transport
@@ -565,11 +651,11 @@ impl ServerState {
                     ));
                 }
                 let declared = self.pack_info().declared_cases();
-                let cases: Vec<_> = all_use_cases()
-                    .into_iter()
+                let cases: Vec<&UseCase> = catalogue()
+                    .iter()
                     .filter(|uc| declared.is_none_or(|ids| ids.contains(&uc.id)))
                     .collect();
-                let templates: Vec<_> = cases.iter().map(|uc| uc.template.clone()).collect();
+                let templates: Vec<_> = cases.iter().map(|uc| &uc.template).collect();
                 let engine = self.engine();
                 let results = engine.generate_batch(&templates, *threads);
                 let mut members = Vec::with_capacity(cases.len());
@@ -876,36 +962,55 @@ pub struct Server;
 impl Server {
     /// Binds the configured transports, spawns the accept pools and
     /// returns immediately. `threads` workers per transport each run
-    /// an accept loop over a non-blocking listener, so shutdown needs
-    /// no self-connection tricks: workers observe the stop flag within
-    /// [`ACCEPT_POLL`].
+    /// an accept loop that blocks in `accept` on a shared listener, so
+    /// an arriving connection is served at once. Stopping relies on
+    /// self-connection: each bound transport is registered with the
+    /// state, and [`ServerState::request_stop`] opens one throwaway
+    /// connection per worker to unblock it.
     ///
     /// # Errors
     ///
     /// Config validation, rule loading, engine build and socket-bind
-    /// failures — all typed, nothing panics.
+    /// failures — all typed, nothing panics. A failure after some
+    /// workers started stops those workers before returning.
     pub fn start(config: &ServeConfig) -> Result<ServerHandle, Error> {
         let state = Arc::new(ServerState::new(config)?);
-        let mut workers = Vec::new();
-        let mut http_addr = None;
+        let mut handle = ServerHandle {
+            state: state.clone(),
+            http_addr: None,
+            uds_path: None,
+            workers: Vec::new(),
+        };
+        match Server::spawn_pools(config, &state, &mut handle) {
+            Ok(()) => Ok(handle),
+            Err(err) => {
+                handle.shutdown();
+                Err(err)
+            }
+        }
+    }
 
+    /// Binds each configured transport, registers it for stop wakes and
+    /// spawns its workers into `handle`.
+    fn spawn_pools(
+        config: &ServeConfig,
+        state: &Arc<ServerState>,
+        handle: &mut ServerHandle,
+    ) -> Result<(), Error> {
         if let Some(addr) = &config.http_addr {
             let listener =
                 TcpListener::bind(addr.as_str()).map_err(|e| Error::io(addr.clone(), e))?;
-            listener
-                .set_nonblocking(true)
+            let bound = listener
+                .local_addr()
                 .map_err(|e| Error::io(addr.clone(), e))?;
-            http_addr = Some(
-                listener
-                    .local_addr()
-                    .map_err(|e| Error::io(addr.clone(), e))?,
-            );
+            handle.http_addr = Some(bound);
+            state.register_wake(WakeTarget::tcp(bound), config.threads);
             for ordinal in 0..config.threads {
                 let listener = listener
                     .try_clone()
                     .map_err(|e| Error::io(addr.clone(), e))?;
                 let state = state.clone();
-                workers.push(
+                handle.workers.push(
                     std::thread::Builder::new()
                         .name(format!("serve-http-{ordinal}"))
                         .spawn(move || {
@@ -920,7 +1025,6 @@ impl Server {
             }
         }
 
-        let mut uds_path = None;
         #[cfg(unix)]
         if let Some(path) = &config.uds_path {
             // A stale socket file from a crashed daemon blocks bind;
@@ -928,16 +1032,14 @@ impl Server {
             let _ = std::fs::remove_file(path);
             let listener = std::os::unix::net::UnixListener::bind(path)
                 .map_err(|e| Error::io(path.display().to_string(), e))?;
-            listener
-                .set_nonblocking(true)
-                .map_err(|e| Error::io(path.display().to_string(), e))?;
-            uds_path = Some(path.clone());
+            handle.uds_path = Some(path.clone());
+            state.register_wake(WakeTarget::Uds(path.clone()), config.threads);
             for ordinal in 0..config.threads {
                 let listener = listener
                     .try_clone()
                     .map_err(|e| Error::io(path.display().to_string(), e))?;
                 let state = state.clone();
-                workers.push(
+                handle.workers.push(
                     std::thread::Builder::new()
                         .name(format!("serve-uds-{ordinal}"))
                         .spawn(move || {
@@ -955,38 +1057,35 @@ impl Server {
         if config.uds_path.is_some() {
             return Err(Error::Usage("--socket requires a unix platform".to_owned()));
         }
-
-        Ok(ServerHandle {
-            state,
-            http_addr,
-            uds_path,
-            workers,
-        })
+        Ok(())
     }
 }
 
-/// One worker's accept loop: poll the non-blocking listener, serve each
-/// connection to completion, recheck the stop flag. Connection
-/// handling is panic-contained a second time here so even a bug in
-/// transport parsing (outside [`ServerState::handle`]'s containment)
-/// can never take the worker down.
+/// One worker's accept loop: block in `accept`, check the stop flag,
+/// serve the connection to completion. A connection accepted after a
+/// stop request — a wake connection, or a client that raced it — is
+/// dropped unserved and the worker exits. Connection handling is
+/// panic-contained a second time here so even a bug in transport
+/// parsing (outside [`ServerState::handle`]'s containment) can never
+/// take the worker down.
 fn accept_loop<S>(
     state: &Arc<ServerState>,
     mut accept: impl FnMut() -> std::io::Result<S>,
     serve: impl Fn(&ServerState, S),
 ) {
-    while !state.stopping() {
-        match accept() {
+    loop {
+        let accepted = accept();
+        if state.stopping() {
+            return;
+        }
+        match accepted {
             Ok(stream) => {
                 let result = catch_unwind(AssertUnwindSafe(|| serve(state, stream)));
                 if result.is_err() {
                     state.metrics.add("serve.connection.panics", 1);
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
+            Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
         }
     }
 }

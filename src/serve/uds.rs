@@ -19,10 +19,11 @@
 //! never desynchronises the stream, because the framing is strictly
 //! one line in, one line out.
 
+use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::UnixStream;
 
-use devharness::json::Json;
+use devharness::json::{self, Json};
 
 use super::{Request, Response, ServerState, IO_TIMEOUT};
 
@@ -131,15 +132,24 @@ fn protocol_error(message: &str) -> Response {
 
 /// Writes one response as a single JSON line. The body rides inside
 /// the JSON string, so embedded newlines in generated Java cannot
-/// break the framing.
+/// break the framing. The line is rendered into one buffer — the same
+/// bytes `Json::Obj` would display, without copying the body into a
+/// `Json` value first — and leaves in a single `write_all`: the stream
+/// is unbuffered, so writing fragment by fragment would cost one
+/// syscall per escaped character.
 fn write_line(writer: &mut UnixStream, response: &Response) -> std::io::Result<()> {
-    let doc = Json::Obj(vec![
-        ("class".to_owned(), Json::Str(response.class.to_owned())),
-        ("code".to_owned(), Json::Num(f64::from(response.code))),
-        ("body".to_owned(), Json::Str(response.body.clone())),
-    ]);
-    writeln!(writer, "{doc}")?;
-    writer.flush()
+    let mut line = String::with_capacity(response.body.len() + 64);
+    render_line(&mut line, response).map_err(std::io::Error::other)?;
+    writer.write_all(line.as_bytes())
+}
+
+fn render_line(line: &mut String, response: &Response) -> std::fmt::Result {
+    line.push_str("{\"class\":");
+    json::write_escaped(line, response.class)?;
+    write!(line, ",\"code\":{},\"body\":", response.code)?;
+    json::write_escaped(line, &response.body)?;
+    line.push_str("}\n");
+    Ok(())
 }
 
 /// Client side: sends request lines over `path` and returns one parsed
@@ -179,4 +189,28 @@ pub fn request_lines(path: &std::path::Path, lines: &[&str]) -> std::io::Result<
         );
     }
     Ok(responses)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn rendered_line_matches_the_json_document_display() {
+        let response = Response {
+            code: 400,
+            class: "usage",
+            content_type: "application/json",
+            body: "public class A {\n\t\"x\\y\" \u{1} é 🦀\n}\n".repeat(50),
+        };
+        let mut line = String::new();
+        render_line(&mut line, &response).unwrap();
+        let doc = Json::Obj(vec![
+            ("class".to_owned(), Json::Str(response.class.to_owned())),
+            ("code".to_owned(), Json::Num(f64::from(response.code))),
+            ("body".to_owned(), Json::Str(response.body.clone())),
+        ]);
+        assert_eq!(line, format!("{doc}\n"));
+        assert_eq!(line.matches('\n').count(), 1);
+    }
 }

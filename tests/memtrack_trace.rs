@@ -15,7 +15,9 @@
 //!   B/E events with non-decreasing per-tid timestamps, and survives a
 //!   serialize→parse round trip;
 //! * differential: generated Java is byte-identical with tracing and
-//!   memory accounting attached vs. a bare engine.
+//!   memory accounting attached vs. a bare engine;
+//! * resolving a use-case selector borrows from the static catalogue:
+//!   a repeated lookup returns the same entry and allocates nothing.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -62,6 +64,26 @@ fn tracking_allocator_counts_and_scopes_balance() {
     let after = memtrack::thread_stats();
     assert!(after.allocated_bytes > before.allocated_bytes);
     assert_eq!(after.scope_depth, before.scope_depth, "scopes balance");
+}
+
+#[test]
+fn repeated_use_case_lookup_borrows_the_catalogue_and_allocates_nothing() {
+    let first = cognicryptgen::find_use_case("3").expect("use case 3 exists");
+    let scope = AllocScope::enter();
+    let second = cognicryptgen::find_use_case("3").expect("use case 3 exists");
+    let delta = scope.finish();
+    assert!(std::ptr::eq(first, second), "same catalogue entry");
+    assert_eq!(second.id, 3);
+    assert_eq!(delta.allocated_bytes, 0, "{delta:?}");
+    assert_eq!(delta.allocations, 0, "{delta:?}");
+
+    // The same window around the owned catalogue does allocate, so the
+    // zero above is a measurement, not a dead counter.
+    let scope = AllocScope::enter();
+    let owned = all_use_cases();
+    let delta = scope.finish();
+    assert!(delta.allocated_bytes > 0, "{delta:?}");
+    assert_eq!(owned[2].template, second.template);
 }
 
 #[test]

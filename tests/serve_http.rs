@@ -1,10 +1,13 @@
 //! Protocol-level tests of the serve daemon: routes, typed error
-//! classes, both transports, and the hot-reload cache-invalidation
-//! semantics — all against in-process servers on ephemeral ports.
+//! classes, both transports, the hot-reload cache-invalidation
+//! semantics, and stopping a pool of workers blocked in `accept` — all
+//! against in-process servers on ephemeral ports.
 
 use std::fs;
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{mpsc, Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
 
 use cognicryptgen::serve::{http, ServeConfig, Server};
 use cognicryptgen::usecases::all_use_cases;
@@ -362,5 +365,171 @@ fn uds_line_protocol_frames_one_json_response_per_request() {
     let responses = uds::request_lines(&socket, &["shutdown"]).expect("shutdown accepted");
     assert_eq!(responses[0].get("class").and_then(Json::as_str), Some("ok"));
     handle.join();
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Runs `stop` on a helper thread and fails the test when it has not
+/// returned within a generous deadline, so a worker that never wakes
+/// from `accept` fails the suite instead of hanging it.
+#[cfg(unix)]
+fn within_deadline(what: &str, stop: impl FnOnce() + Send + 'static) {
+    let (done, finished) = mpsc::channel();
+    std::thread::spawn(move || {
+        stop();
+        let _ = done.send(());
+    });
+    if finished.recv_timeout(Duration::from_secs(60)).is_err() {
+        panic!("{what}: workers still running after 60 s");
+    }
+}
+
+/// How a stop test asks the daemon to exit.
+#[cfg(unix)]
+#[derive(Debug, Clone, Copy)]
+enum StopPath {
+    /// `ServerHandle::shutdown` from the owning thread.
+    Handle,
+    /// `POST /shutdown`, handled on an HTTP worker thread.
+    Http,
+    /// The `shutdown` line, handled on a Unix-socket worker thread.
+    Uds,
+}
+
+#[cfg(unix)]
+#[test]
+fn idle_daemon_joins_every_worker_on_each_stop_path_and_bind() {
+    use cognicryptgen::serve::uds;
+
+    let _guard = exclusive_daemon();
+    let dir = scratch("serve-stop");
+    let mut binds = vec!["127.0.0.1:0", "0.0.0.0:0"];
+    // Exercise the IPv6 wildcard only where the host has IPv6.
+    if TcpListener::bind("[::]:0").is_ok() {
+        binds.push("[::]:0");
+    }
+    for bind in binds {
+        for path in [StopPath::Handle, StopPath::Http, StopPath::Uds] {
+            let what = format!("{bind} via {path:?}");
+            let socket = dir.join("daemon.sock");
+            let config = ServeConfig {
+                http_addr: Some(bind.to_owned()),
+                uds_path: Some(socket.clone()),
+                threads: 4,
+                rules_path: None,
+                ..ServeConfig::default()
+            };
+            let handle = Server::start(&config).expect("daemon boots on both transports");
+            let bound = handle.http_addr().expect("http bound");
+            // A wildcard bind is reachable through loopback, which is
+            // also how a stop request wakes its workers.
+            let port = bound.port();
+            let loopback: SocketAddr = if bound.is_ipv4() {
+                ([127, 0, 0, 1], port).into()
+            } else {
+                (std::net::Ipv6Addr::LOCALHOST, port).into()
+            };
+            let (code, body) = http::request(&loopback.to_string(), "GET", "/healthz", "")
+                .unwrap_or_else(|e| panic!("{what}: healthz: {e}"));
+            assert_eq!((code, body.as_str()), (200, "ok\n"), "{what}");
+
+            match path {
+                StopPath::Handle => within_deadline(&what, move || handle.shutdown()),
+                StopPath::Http => {
+                    let (code, _) = http::request(&loopback.to_string(), "POST", "/shutdown", "")
+                        .unwrap_or_else(|e| panic!("{what}: shutdown: {e}"));
+                    assert_eq!(code, 200, "{what}");
+                    within_deadline(&what, move || handle.join());
+                }
+                StopPath::Uds => {
+                    let responses = uds::request_lines(&socket, &["shutdown"])
+                        .unwrap_or_else(|e| panic!("{what}: shutdown: {e}"));
+                    assert_eq!(
+                        responses[0].get("class").and_then(Json::as_str),
+                        Some("ok"),
+                        "{what}"
+                    );
+                    within_deadline(&what, move || handle.join());
+                }
+            }
+            // Every worker exited, so both listeners are closed.
+            assert!(
+                TcpStream::connect(loopback).is_err(),
+                "{what}: still listening"
+            );
+            assert!(!socket.exists(), "{what}: socket file left behind");
+        }
+    }
+
+    // A start that fails after the HTTP pool is up (the socket's
+    // directory does not exist) stops that pool before returning.
+    let port = TcpListener::bind("127.0.0.1:0")
+        .and_then(|probe| probe.local_addr())
+        .expect("free port")
+        .port();
+    let config = ServeConfig {
+        http_addr: Some(format!("127.0.0.1:{port}")),
+        uds_path: Some(dir.join("missing").join("daemon.sock")),
+        threads: 4,
+        rules_path: None,
+        ..ServeConfig::default()
+    };
+    let Err(err) = Server::start(&config) else {
+        panic!("binding a socket in a missing directory must fail");
+    };
+    assert!(matches!(err, cognicryptgen::Error::Io { .. }), "{err}");
+    assert!(
+        TcpStream::connect(("127.0.0.1", port)).is_err(),
+        "failed start left its http workers listening"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn batch_on_a_subset_pack_returns_exactly_its_declared_cases() {
+    let _guard = exclusive_daemon();
+    let dir = scratch("serve-subset");
+    let spec = rules::catalog_pack("aead", Some(1)).expect("aead@v1 is catalogued");
+    let source = rules::PackSource::Catalog {
+        name: spec.name.to_owned(),
+        version: Some(spec.version),
+    };
+    let pack_file = dir.join("aead.crpack");
+    fs::write(
+        &pack_file,
+        rules::open(source)
+            .expect("catalog pack opens")
+            .to_bytes()
+            .expect("pack encodes"),
+    )
+    .unwrap();
+    let config = ServeConfig {
+        http_addr: Some("127.0.0.1:0".to_owned()),
+        threads: 2,
+        rules_path: Some(pack_file),
+        ..ServeConfig::default()
+    };
+    let handle = Server::start(&config).expect("daemon boots from the subset pack");
+    let addr = handle.http_addr().expect("http bound").to_string();
+
+    let (code, body) = http::request(&addr, "GET", "/batch/2", "").unwrap();
+    assert_eq!(code, 200, "{body}");
+    let Json::Obj(members) = Json::parse(&body).expect("batch body is JSON") else {
+        panic!("batch response is an object")
+    };
+    let keys: Vec<String> = members.iter().map(|(key, _)| key.clone()).collect();
+    let declared: Vec<String> = spec
+        .use_cases
+        .iter()
+        .map(|id| format!("uc{id:02}"))
+        .collect();
+    assert_eq!(keys, declared);
+    assert!(declared.len() < all_use_cases().len(), "a strict subset");
+    for (id, (key, source)) in spec.use_cases.iter().zip(&members) {
+        let (code, single) = http::request(&addr, "GET", &format!("/generate/{id}"), "").unwrap();
+        assert_eq!(code, 200, "{key}");
+        assert_eq!(source.as_str(), Some(single.as_str()), "{key}");
+    }
+
+    handle.shutdown();
     let _ = fs::remove_dir_all(&dir);
 }
