@@ -13,6 +13,15 @@
 //!   handful of `Cell` operations — no atomics, no locks, no contention
 //!   — and is exactly the right scope because one template generation
 //!   runs on one thread.
+//! * Process-wide counters ([`process_stats`]), off until
+//!   [`enable_process_stats`]. A daemon needs one lifetime figure over
+//!   all its workers, but a shared atomic per allocation would make
+//!   every core write the same cache lines thousands of times per
+//!   request. So each thread keeps its share in two pending cells and
+//!   adds them to the shared atomics only once they reach
+//!   [`FLUSH_BYTES`], when the thread exits, or when the thread itself
+//!   reads [`process_stats`]. See [`ProcessStats`] for the bounds this
+//!   puts on the figures.
 //! * [`AllocScope`] — an RAII measurement window over the current
 //!   thread's counters. [`AllocScope::finish`] yields the
 //!   [`AllocDelta`] of everything allocated inside the scope, with a
@@ -48,17 +57,27 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 static ACTIVE: AtomicBool = AtomicBool::new(false);
 
 /// Process-wide accounting is opt-in: a long-lived daemon needs a
-/// *daemon-lifetime* peak that spans every worker thread, but the
-/// cross-thread atomics that requires would tax the allocation hot path
-/// of every short-lived CLI run that never asks for them.
+/// *daemon-lifetime* peak that spans every worker thread, but a
+/// short-lived CLI run never asks for it. Once enabled, allocations
+/// still touch only thread-local cells: each thread folds its share
+/// into the atomics below in batches of [`FLUSH_BYTES`], so the shared
+/// cache lines see one write burst per ~32 KiB rather than three
+/// read-modify-writes per allocation.
 static PROCESS_ENABLED: AtomicBool = AtomicBool::new(false);
 /// Bytes allocated process-wide since [`enable_process_stats`].
 static PROCESS_ALLOCATED: AtomicU64 = AtomicU64::new(0);
 /// Net live bytes process-wide since [`enable_process_stats`] (signed:
 /// memory allocated before enablement may be freed after it).
 static PROCESS_LIVE: AtomicI64 = AtomicI64::new(0);
-/// Running maximum of [`PROCESS_LIVE`].
+/// Running maximum of [`PROCESS_LIVE`], sampled at every flush.
 static PROCESS_PEAK: AtomicI64 = AtomicI64::new(0);
+
+/// How far a thread's pending process-wide figures may run before it
+/// adds them to the shared counters: a thread flushes once its pending
+/// allocated bytes reach this, or its pending live change reaches it in
+/// either direction. A constant on purpose — the bounds documented on
+/// [`ProcessStats`] are stated in it.
+pub const FLUSH_BYTES: u64 = 32 * 1024;
 
 /// The per-thread counters behind the allocator and [`AllocScope`].
 struct Tls {
@@ -78,6 +97,46 @@ struct Tls {
     peak: Cell<i64>,
     /// Currently open [`AllocScope`]s on this thread.
     scope_depth: Cell<usize>,
+    /// Bytes allocated here while process stats were enabled, not yet
+    /// added to [`PROCESS_ALLOCATED`].
+    pending_allocated: Cell<u64>,
+    /// Net live change here while process stats were enabled, not yet
+    /// added to [`PROCESS_LIVE`].
+    pending_live: Cell<i64>,
+}
+
+impl Tls {
+    /// Adds this thread's pending process-wide figures to the shared
+    /// counters and zeroes them.
+    fn flush(&self) {
+        let allocated = self.pending_allocated.replace(0);
+        let live = self.pending_live.replace(0);
+        if allocated != 0 || live != 0 {
+            add_to_process(allocated, live);
+        }
+    }
+}
+
+/// Flushes on thread exit, so a short-lived worker (a batch's scatter
+/// threads) loses nothing it allocated. Allocations made after this
+/// runs — by later TLS destructors — take the direct path in
+/// [`record_alloc`] / [`record_free`].
+///
+/// A global allocator whose TLS has a destructor relies on the platform
+/// registering that destructor without the Rust allocator (glibc's
+/// `__cxa_thread_atexit_impl` does).
+impl Drop for Tls {
+    fn drop(&mut self) {
+        self.flush();
+    }
+}
+
+/// The one place the shared process counters are written: the sum, then
+/// a single peak sample of the sum this write produced.
+fn add_to_process(allocated: u64, live: i64) {
+    PROCESS_ALLOCATED.fetch_add(allocated, Ordering::Relaxed);
+    let sum = PROCESS_LIVE.fetch_add(live, Ordering::Relaxed) + live;
+    PROCESS_PEAK.fetch_max(sum, Ordering::Relaxed);
 }
 
 thread_local! {
@@ -90,6 +149,8 @@ thread_local! {
             live: Cell::new(0),
             peak: Cell::new(0),
             scope_depth: Cell::new(0),
+            pending_allocated: Cell::new(0),
+            pending_live: Cell::new(0),
         }
     };
 }
@@ -99,14 +160,10 @@ fn record_alloc(size: usize) {
     if !ACTIVE.load(Ordering::Relaxed) {
         ACTIVE.store(true, Ordering::Relaxed);
     }
-    if PROCESS_ENABLED.load(Ordering::Relaxed) {
-        PROCESS_ALLOCATED.fetch_add(size as u64, Ordering::Relaxed);
-        let live = PROCESS_LIVE.fetch_add(size as i64, Ordering::Relaxed) + size as i64;
-        PROCESS_PEAK.fetch_max(live, Ordering::Relaxed);
-    }
+    let process = PROCESS_ENABLED.load(Ordering::Relaxed);
+    let n = size as u64;
     // try_with: allocations during TLS teardown must not abort.
-    let _ = TLS.try_with(|t| {
-        let n = size as u64;
+    let recorded = TLS.try_with(|t| {
         t.allocated.set(t.allocated.get().wrapping_add(n));
         t.allocations.set(t.allocations.get() + 1);
         let live = t.live.get() + size as i64;
@@ -114,19 +171,40 @@ fn record_alloc(size: usize) {
         if live > t.peak.get() {
             t.peak.set(live);
         }
+        if process {
+            // Pending live never exceeds pending allocated on this
+            // path, so one comparison covers both thresholds.
+            let pending = t.pending_allocated.get() + n;
+            t.pending_allocated.set(pending);
+            t.pending_live.set(t.pending_live.get() + size as i64);
+            if pending >= FLUSH_BYTES {
+                t.flush();
+            }
+        }
     });
+    if recorded.is_err() && process {
+        add_to_process(n, size as i64);
+    }
 }
 
 #[inline]
 fn record_free(size: usize) {
-    if PROCESS_ENABLED.load(Ordering::Relaxed) {
-        PROCESS_LIVE.fetch_sub(size as i64, Ordering::Relaxed);
-    }
-    let _ = TLS.try_with(|t| {
+    let process = PROCESS_ENABLED.load(Ordering::Relaxed);
+    let recorded = TLS.try_with(|t| {
         t.freed.set(t.freed.get().wrapping_add(size as u64));
         t.frees.set(t.frees.get() + 1);
         t.live.set(t.live.get() - size as i64);
+        if process {
+            let pending = t.pending_live.get() - size as i64;
+            t.pending_live.set(pending);
+            if pending <= -(FLUSH_BYTES as i64) {
+                t.flush();
+            }
+        }
     });
+    if recorded.is_err() && process {
+        add_to_process(0, -(size as i64));
+    }
 }
 
 /// A counting wrapper over the system allocator. Install it with
@@ -143,8 +221,9 @@ impl TrackingAlloc {
 }
 
 // SAFETY: every method forwards to `System` verbatim; the bookkeeping
-// around the forwarded call never allocates (plain `Cell` arithmetic)
-// and never observes the returned pointer beyond a null check.
+// around the forwarded call never allocates (`Cell` arithmetic and, at a
+// flush, relaxed atomics) and never observes the returned pointer
+// beyond a null check.
 unsafe impl GlobalAlloc for TrackingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let ptr = System.alloc(layout);
@@ -196,6 +275,16 @@ pub fn enable_process_stats() {
 /// A snapshot of the process-wide counters accumulated since
 /// [`enable_process_stats`] — the cross-thread aggregate a daemon
 /// reports as its lifetime memory figures.
+///
+/// Each thread folds its share in batches (see [`FLUSH_BYTES`]), which
+/// bounds how far the figures may be from the true ones:
+///
+/// * `allocated_bytes` and `live_bytes` are exact for the reading
+///   thread (reading flushes it first) and for threads that have
+///   exited. Every other live thread's share lags by less than
+///   [`FLUSH_BYTES`].
+/// * `peak_live_bytes` is the highest sum seen at a flush, so it is
+///   within live threads × [`FLUSH_BYTES`] of the true peak.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ProcessStats {
     /// Bytes allocated on any thread since enablement.
@@ -208,15 +297,18 @@ pub struct ProcessStats {
 }
 
 /// Reads the process-wide counters, or `None` when
-/// [`enable_process_stats`] was never called.
+/// [`enable_process_stats`] was never called. The calling thread's
+/// pending share is flushed first.
 pub fn process_stats() -> Option<ProcessStats> {
-    PROCESS_ENABLED
-        .load(Ordering::Relaxed)
-        .then(|| ProcessStats {
-            allocated_bytes: PROCESS_ALLOCATED.load(Ordering::Relaxed),
-            live_bytes: PROCESS_LIVE.load(Ordering::Relaxed),
-            peak_live_bytes: PROCESS_PEAK.load(Ordering::Relaxed),
-        })
+    if !PROCESS_ENABLED.load(Ordering::Relaxed) {
+        return None;
+    }
+    let _ = TLS.try_with(Tls::flush);
+    Some(ProcessStats {
+        allocated_bytes: PROCESS_ALLOCATED.load(Ordering::Relaxed),
+        live_bytes: PROCESS_LIVE.load(Ordering::Relaxed),
+        peak_live_bytes: PROCESS_PEAK.load(Ordering::Relaxed),
+    })
 }
 
 /// A snapshot of the current thread's allocation counters.
@@ -448,6 +540,50 @@ mod tests {
         let after = process_stats().unwrap();
         assert!(after.peak_live_bytes >= during.peak_live_bytes.min(after.live_bytes));
         assert!(after.live_bytes <= during.live_bytes);
+    }
+
+    #[test]
+    fn pending_process_figures_below_the_threshold_flush_on_thread_exit() {
+        // Other tests here add to the shared counters concurrently, but
+        // far less than these threads leave pending, so a lost flush
+        // still shows.
+        const THREADS: u64 = 16;
+        enable_process_stats();
+        let before = process_stats().unwrap();
+        for _ in 0..THREADS {
+            let pending = std::thread::spawn(|| {
+                simulate_alloc(FLUSH_BYTES as usize / 2);
+                simulate_alloc(FLUSH_BYTES as usize / 2 - 1);
+                simulate_free(500);
+                TLS.with(|t| (t.pending_allocated.get(), t.pending_live.get()))
+            })
+            .join()
+            .unwrap();
+            // Below the threshold nothing reached the shared counters
+            // while the thread ran...
+            assert_eq!(pending, (FLUSH_BYTES - 1, FLUSH_BYTES as i64 - 501));
+        }
+        // ...and each exit added all of it.
+        let after = process_stats().unwrap();
+        assert!(after.allocated_bytes >= before.allocated_bytes + THREADS * (FLUSH_BYTES - 1));
+    }
+
+    #[test]
+    fn crossing_the_threshold_flushes_without_a_read() {
+        enable_process_stats();
+        std::thread::spawn(|| {
+            simulate_alloc(FLUSH_BYTES as usize - 1);
+            let held = TLS.with(|t| t.pending_allocated.get());
+            assert_eq!(held, FLUSH_BYTES - 1);
+            simulate_alloc(1);
+            let flushed = TLS.with(|t| (t.pending_allocated.get(), t.pending_live.get()));
+            assert_eq!(flushed, (0, 0));
+            simulate_free(FLUSH_BYTES as usize);
+            let flushed = TLS.with(|t| t.pending_live.get());
+            assert_eq!(flushed, 0, "a free of FLUSH_BYTES flushes too");
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

@@ -53,12 +53,12 @@ cargo build --release --offline --locked
 echo "==> cargo test -q --offline --locked"
 cargo test -q --offline --locked
 
-# The root-package run above does not reach the member crates' own unit
-# tests. The code model and the engine core carry the printer pins, the
-# type-table queries and the assembler tests; the fuzzer carries the
-# crash-capture tests, which must hold under parallel test threads.
-echo "==> cargo test -q --offline --locked -p javamodel -p cognicrypt-core -p cognicrypt-fuzz"
-cargo test -q --offline --locked -p javamodel -p cognicrypt-core -p cognicrypt-fuzz
+# The root-package run above does not reach the member crates' own
+# tests: the printer pins, the type-table queries, the assembler and
+# memtrack unit tests, the fuzzer's crash-capture tests and every other
+# member suite. All of them must hold under parallel test threads.
+echo "==> cargo test -q --offline --locked --workspace"
+cargo test -q --offline --locked --workspace
 
 # The CLI's cached batch path must emit exactly what the single-shot
 # generate path emits for every use case — a divergence means the

@@ -498,7 +498,7 @@ fn cmd_oldgen(selector: Option<&str>) -> Result<(), Error> {
     Ok(())
 }
 
-/// `report [dir]` — generate all eleven use cases on an instrumented
+/// `report [dir]` — generate every catalogued use case on an instrumented
 /// engine, print the Table-1 per-phase timing table with the pipeline
 /// metrics, and write the machine-readable `REPORT_table1.json` into
 /// `dir` (default: current directory).

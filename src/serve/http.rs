@@ -9,10 +9,11 @@
 //! daemon through it, so client and server agree on the framing by
 //! construction.
 
+use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 
-use super::{Request, Response, ServerState, IO_TIMEOUT};
+use super::{drain_after_response, Request, Response, ServerState, IO_TIMEOUT};
 
 /// Upper bound on the request line plus headers.
 const MAX_HEAD_BYTES: usize = 8 * 1024;
@@ -23,10 +24,7 @@ const MAX_BODY_BYTES: usize = 64 * 1024;
 pub fn serve_connection(state: &ServerState, stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
     let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(clone) => clone,
-        Err(_) => return,
-    });
+    let mut reader = BufReader::new(&stream);
     let response = match read_request(&mut reader) {
         Ok((method, path, body)) => match route(&method, &path, &body) {
             Ok(request) => state.handle_tagged("http", &request),
@@ -40,13 +38,13 @@ pub fn serve_connection(state: &ServerState, stream: TcpStream) {
             response
         }
     };
-    write_response(stream, &response);
+    write_response(&stream, &response);
 }
 
 /// Reads and frames one request: request line, headers (bounded),
 /// `Content-Length` body (bounded). Anything outside the bounds or the
 /// grammar yields a typed 4xx instead of an io error or a panic.
-fn read_request(reader: &mut BufReader<TcpStream>) -> Result<(String, String, String), Response> {
+fn read_request(reader: &mut BufReader<&TcpStream>) -> Result<(String, String, String), Response> {
     let request_line = read_head_line(reader)?;
     let mut parts = request_line.split_whitespace();
     let method = parts.next().unwrap_or("").to_owned();
@@ -89,7 +87,7 @@ fn read_request(reader: &mut BufReader<TcpStream>) -> Result<(String, String, St
 
 /// Reads one CRLF (or bare LF) terminated header line, enforcing the
 /// head cap even against a single line with no terminator.
-fn read_head_line(reader: &mut BufReader<TcpStream>) -> Result<String, Response> {
+fn read_head_line(reader: &mut BufReader<&TcpStream>) -> Result<String, Response> {
     let mut line = String::new();
     let mut limited = reader.take(MAX_HEAD_BYTES as u64 + 1);
     match limited.read_line(&mut line) {
@@ -253,31 +251,25 @@ fn status_text(code: u16) -> &'static str {
     }
 }
 
-fn write_response(mut stream: TcpStream, response: &Response) {
-    let head = format!(
+/// Writes the head and body with one `write_all`, then closes the
+/// response. The stream is unbuffered, so writing them separately costs
+/// a second syscall and splits a small response over two segments.
+fn write_response(mut stream: &TcpStream, response: &Response) {
+    let mut message = String::with_capacity(response.body.len() + 128);
+    let _ = write!(
+        message,
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         response.code,
         status_text(response.code),
         response.content_type,
         response.body.len()
     );
-    let _ = stream.write_all(head.as_bytes());
-    let _ = stream.write_all(response.body.as_bytes());
-    let _ = stream.flush();
+    message.push_str(&response.body);
+    let _ = stream.write_all(message.as_bytes());
     // An early error response leaves unread request bytes behind (e.g.
-    // a refused header bomb). Closing with unread data pending makes
-    // the kernel send RST, which can destroy the buffered response
-    // before the client reads it — so signal end-of-response, then
-    // drain a bounded amount before closing.
+    // a refused header bomb), which must be drained before closing.
     let _ = stream.shutdown(std::net::Shutdown::Write);
-    let mut sink = [0u8; 4096];
-    let mut drained = 0usize;
-    while drained < 256 * 1024 {
-        match stream.read(&mut sink) {
-            Ok(0) | Err(_) => break,
-            Ok(n) => drained += n,
-        }
-    }
+    drain_after_response(stream);
 }
 
 /// Client side: one HTTP exchange against `addr`. Returns the status

@@ -73,6 +73,28 @@ const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(5);
 /// connects and stalls forever must release its worker.
 pub(crate) const IO_TIMEOUT: Duration = Duration::from_secs(5);
 
+/// Most request bytes a transport reads and discards after closing its
+/// side of a connection early.
+const DRAIN_BYTES: usize = 256 * 1024;
+
+/// Reads and discards what the peer still sends after the daemon has
+/// answered and shut down its write side, up to [`DRAIN_BYTES`] or EOF.
+/// A response sent before the whole request was read (a refused header
+/// bomb, an over-long UDS line) leaves request bytes unread, and closing
+/// a socket with unread data makes the kernel reset the connection: TCP
+/// sends RST, which can destroy the response before the client reads
+/// it, and a Unix socket hands the peer `ECONNRESET` instead of EOF.
+pub(crate) fn drain_after_response(mut stream: impl std::io::Read) {
+    let mut sink = [0u8; 4096];
+    let mut drained = 0usize;
+    while drained < DRAIN_BYTES {
+        match stream.read(&mut sink) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => drained += n,
+        }
+    }
+}
+
 /// Daemon configuration, as parsed from `cognicryptgen serve` flags.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {

@@ -25,7 +25,7 @@ use std::os::unix::net::UnixStream;
 
 use devharness::json::{self, Json};
 
-use super::{Request, Response, ServerState, IO_TIMEOUT};
+use super::{drain_after_response, Request, Response, ServerState, IO_TIMEOUT};
 
 /// Upper bound on one request line.
 const MAX_LINE_BYTES: usize = 64 * 1024;
@@ -35,11 +35,7 @@ const MAX_LINE_BYTES: usize = 64 * 1024;
 pub fn serve_connection(state: &ServerState, stream: UnixStream) {
     let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
     let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
-    let mut writer = match stream.try_clone() {
-        Ok(clone) => clone,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
+    let mut reader = BufReader::new(&stream);
     loop {
         let mut line = String::new();
         let mut limited = (&mut reader).take(MAX_LINE_BYTES as u64 + 1);
@@ -48,11 +44,14 @@ pub fn serve_connection(state: &ServerState, stream: UnixStream) {
             Ok(n) if n > MAX_LINE_BYTES => {
                 let response = protocol_error("request line exceeds the 64KiB cap");
                 state.record_rejected("uds", &response);
-                if write_line(&mut writer, &response).is_err() {
-                    return;
-                }
                 // The over-long line was only partially consumed; the
-                // stream is no longer line-synchronised, so drop it.
+                // stream is no longer line-synchronised, so close it.
+                // The rest of the line is drained first, or the close
+                // would reset the connection under the refusal frame.
+                if write_line(&stream, &response).is_ok() {
+                    let _ = stream.shutdown(std::net::Shutdown::Write);
+                    drain_after_response(&mut reader);
+                }
                 return;
             }
             Ok(_) => {}
@@ -67,7 +66,7 @@ pub fn serve_connection(state: &ServerState, stream: UnixStream) {
                 let shutting_down = matches!(request, Request::Shutdown);
                 let response = state.handle_tagged("uds", &request);
                 if shutting_down {
-                    let _ = write_line(&mut writer, &response);
+                    let _ = write_line(&stream, &response);
                     return;
                 }
                 response
@@ -77,7 +76,7 @@ pub fn serve_connection(state: &ServerState, stream: UnixStream) {
                 response
             }
         };
-        if write_line(&mut writer, &response).is_err() {
+        if write_line(&stream, &response).is_err() {
             return;
         }
     }
@@ -137,7 +136,7 @@ fn protocol_error(message: &str) -> Response {
 /// `Json` value first — and leaves in a single `write_all`: the stream
 /// is unbuffered, so writing fragment by fragment would cost one
 /// syscall per escaped character.
-fn write_line(writer: &mut UnixStream, response: &Response) -> std::io::Result<()> {
+fn write_line(mut writer: &UnixStream, response: &Response) -> std::io::Result<()> {
     let mut line = String::with_capacity(response.body.len() + 64);
     render_line(&mut line, response).map_err(std::io::Error::other)?;
     writer.write_all(line.as_bytes())

@@ -368,6 +368,59 @@ fn uds_line_protocol_frames_one_json_response_per_request() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// A line over the 64 KiB cap gets one `protocol` frame and then EOF.
+/// The daemon closes that stream with the rest of the line unread, so
+/// unless it drains the rest first the kernel hands the client a reset
+/// instead of EOF — an intermittent `ConnectionReset` under load.
+#[cfg(unix)]
+#[test]
+fn uds_over_long_lines_each_get_exactly_one_protocol_frame() {
+    use cognicryptgen::serve::uds;
+
+    const CLIENTS: usize = 4;
+    const LINES_PER_CLIENT: usize = 500;
+
+    let _guard = exclusive_daemon();
+    let dir = scratch("serve-uds-long");
+    let socket = dir.join("daemon.sock");
+    let config = ServeConfig {
+        http_addr: None,
+        uds_path: Some(socket.clone()),
+        threads: 4,
+        rules_path: None,
+        ..ServeConfig::default()
+    };
+    let handle = Server::start(&config).expect("daemon boots on the socket");
+
+    let bomb = "x".repeat(70 * 1024);
+    std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|_| {
+                scope.spawn(|| {
+                    for line in 0..LINES_PER_CLIENT {
+                        let responses = uds::request_lines(&socket, &[bomb.as_str()])
+                            .unwrap_or_else(|e| panic!("line {line}: {e}"));
+                        assert_eq!(responses.len(), 1, "line {line}: {responses:?}");
+                        assert_eq!(
+                            responses[0].get("class").and_then(Json::as_str),
+                            Some("protocol"),
+                            "line {line}"
+                        );
+                    }
+                })
+            })
+            .collect();
+        for client in clients {
+            client
+                .join()
+                .expect("every over-long line is refused cleanly");
+        }
+    });
+
+    handle.shutdown();
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// Runs `stop` on a helper thread and fails the test when it has not
 /// returned within a generous deadline, so a worker that never wakes
 /// from `accept` fails the suite instead of hanging it.
